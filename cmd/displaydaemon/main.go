@@ -52,7 +52,7 @@ func (s *stringList) Set(v string) error {
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7420", "listen address")
 	buffer := flag.Int("buffer", 8, "per-display image buffer depth (plain mode)")
-	heartbeat := flag.Duration("heartbeat", 0, "ping CRC-capable peers on this interval and evict after -peer-timeout of silence (plain mode, 0 = off)")
+	heartbeat := flag.Duration("heartbeat", 0, "ping peers on this interval and evict after -peer-timeout of silence (plain mode, 0 = off)")
 	peerTimeout := flag.Duration("peer-timeout", 0, "silence threshold for evicting a dead peer (0 = 3x -heartbeat)")
 	adaptive := flag.Bool("adaptive", false, "run the adaptive stream broker (per-client rate control)")
 	target := flag.Duration("target", 200*time.Millisecond, "adaptive: target inter-frame delay per client")

@@ -172,8 +172,10 @@ func main() {
 		fatal(err)
 	}
 	st := v.Stats()
+	// Report the frames taken above: with -frames the viewer may already
+	// have decoded the next frame when the loop stops.
 	fmt.Printf("received %d frames (%.2f fps, %d bytes, decode total %v)\n",
-		st.Frames, st.FPS(), st.Bytes, st.DecodeTime)
+		n, st.FPS(), st.Bytes, st.DecodeTime)
 }
 
 func fatal(err error) {

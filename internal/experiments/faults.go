@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -206,14 +207,23 @@ func (c *Context) faultsCorruption(res *FaultsResult) error {
 	if err != nil {
 		return err
 	}
-	// Wire layout on the renderer link: the v1-framed hello (5-byte
-	// header + 2-byte payload), then v2 frames of 6-byte header +
-	// payload + 4-byte CRC. Flip one byte in the middle of the
-	// payloads of frames 3, 6 and 9.
-	msgLen := int64(6 + len(payload) + 4)
+	// Wire layout on the renderer link: the framed hello, then one
+	// framed image message per frame. Frame both to measure it, and
+	// flip one byte in the middle of the payloads of frames 3, 6 and 9.
+	var wire bytes.Buffer
+	if err := transport.WriteMessage(&wire, transport.Message{Type: transport.MsgHello,
+		Payload: transport.HelloPayload(transport.RoleRenderer, transport.KindViewer)}); err != nil {
+		return err
+	}
+	helloLen := int64(wire.Len())
+	if err := transport.WriteMessage(&wire, transport.Message{Type: transport.MsgImage, Payload: payload}); err != nil {
+		return err
+	}
+	msgLen := int64(wire.Len()) - helloLen
+	payloadAt := bytes.Index(wire.Bytes()[helloLen:], payload)
 	var offsets []int64
 	for _, k := range []int64{3, 6, 9} {
-		offsets = append(offsets, 7+k*msgLen+6+int64(len(payload))/2)
+		offsets = append(offsets, helloLen+k*msgLen+int64(payloadAt)+int64(len(payload))/2)
 	}
 	inj := fault.New(fault.Plan{CorruptOffsets: offsets})
 

@@ -43,7 +43,7 @@ type StatusResult struct {
 }
 
 // Status runs the WAN status-plane experiment: a 2-tier fan-out-2
-// relay tree on loopback, every process carrying the v3 trace context
+// relay tree on loopback, every process carrying the wire trace context
 // and recording provenance events behind a real /debug/frames HTTP
 // endpoint, with one interior relay's upstream socket stalled by the
 // deterministic fault injector. The collector crawls the tree, merges
@@ -152,7 +152,7 @@ func (c *Context) Status() (*StatusResult, error) {
 		refs = append(refs, provenance.NodeRef{Name: vlog.Node(), URL: url})
 	}
 
-	// Synthetic traced renderer: raw frames into the root with the v3
+	// Synthetic traced renderer: raw frames into the root with the wire
 	// trace context, recording origin events at hop 0.
 	rend, err := transport.Dial(tree.Root.Addr().String(), transport.RoleRenderer, nil)
 	if err != nil {

@@ -98,7 +98,6 @@ type Broker struct {
 type rendererPeer struct {
 	id   int
 	conn net.Conn
-	fr   transport.Framer
 	wmu  sync.Mutex
 }
 
@@ -108,7 +107,6 @@ type client struct {
 	kind   byte // transport.KindViewer or KindRelay
 	remote string
 	conn   net.Conn
-	fr     transport.Framer
 	est    *Estimator
 	ctrl   *Controller
 	pacer  *Pacer
@@ -395,32 +393,27 @@ func (b *Broker) Close() error {
 func (b *Broker) handle(conn net.Conn) {
 	defer conn.Close()
 	hello, err := transport.ReadMessage(conn)
-	if err != nil || hello.Type != transport.MsgHello || len(hello.Payload) < 1 {
+	if err != nil || hello.Type != transport.MsgHello {
 		b.log.Warnf("bad handshake from %v: %v", conn.RemoteAddr(), err)
 		return
 	}
-	role, peerVer, kind, err := transport.ParseHelloKind(hello.Payload)
+	role, kind, err := transport.ParseHello(hello.Payload)
 	if err != nil {
 		b.log.Warnf("bad hello from %v: %v", conn.RemoteAddr(), err)
 		return
 	}
-	// Hellos and welcomes travel in legacy framing; the negotiated
-	// version applies from the first message after them, exactly like
-	// the plain daemon's handshake. Legacy single-byte hellos negotiate
-	// v1, so pre-negotiation peers connect unchanged.
-	fr := transport.Framer{Version: transport.NegotiateVersion(transport.ProtoV3, peerVer)}
 	switch role {
 	case transport.RoleRenderer:
-		b.handleRenderer(conn, fr)
+		b.handleRenderer(conn)
 	case transport.RoleDisplay:
-		b.handleDisplay(conn, fr, kind)
+		b.handleDisplay(conn, kind)
 	default:
 		b.log.Warnf("unknown role %d", role)
 	}
 }
 
-func (b *Broker) handleRenderer(conn net.Conn, fr transport.Framer) {
-	r := &rendererPeer{conn: conn, fr: fr}
+func (b *Broker) handleRenderer(conn net.Conn) {
+	r := &rendererPeer{conn: conn}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -440,13 +433,13 @@ func (b *Broker) handleRenderer(conn net.Conn, fr transport.Framer) {
 		b.mu.Unlock()
 		b.log.Infof("renderer %d disconnected", r.id)
 	}()
-	if err := transport.WriteMessage(conn, transport.Message{Type: transport.MsgHello, Payload: transport.HelloPayload(transport.RoleRenderer, fr.Version)}); err != nil {
+	if err := transport.WriteMessage(conn, transport.Message{Type: transport.MsgHello, Payload: transport.HelloPayload(transport.RoleRenderer, transport.KindViewer)}); err != nil {
 		return
 	}
-	b.log.Infof("renderer %d connected from %v (proto v%d)", r.id, conn.RemoteAddr(), fr.Version+1)
+	b.log.Infof("renderer %d connected from %v", r.id, conn.RemoteAddr())
 	remote := fmt.Sprint(conn.RemoteAddr())
 	for {
-		m, err := r.fr.ReadMessage(conn)
+		m, err := transport.ReadMessage(conn)
 		if err != nil {
 			if errors.Is(err, transport.ErrChecksum) {
 				// Stream stays frame-aligned past a CRC failure: drop the
@@ -471,7 +464,7 @@ func (b *Broker) handleRenderer(conn net.Conn, fr transport.Framer) {
 		case transport.MsgPing:
 			// Liveness probe from a reconnect-capable server.
 			r.wmu.Lock()
-			_ = r.fr.WriteMessage(conn, transport.Message{Type: transport.MsgPong, Payload: m.Payload})
+			_ = transport.WriteMessage(conn, transport.Message{Type: transport.MsgPong, Payload: m.Payload})
 			r.wmu.Unlock()
 		case transport.MsgBye:
 			return
@@ -603,11 +596,10 @@ func (b *Broker) ingest(payload []byte, tc *transport.TraceCtx) (uint32, bool) {
 	return fr.ID, true
 }
 
-func (b *Broker) handleDisplay(conn net.Conn, fr transport.Framer, kind byte) {
+func (b *Broker) handleDisplay(conn net.Conn, kind byte) {
 	c := &client{
 		kind:   kind,
 		conn:   conn,
-		fr:     fr,
 		est:    NewEstimator(b.cfg.Alpha),
 		pacer:  NewPacer(b.cfg.QueueDepth),
 		gauges: metrics.NewGaugeSet(),
@@ -629,8 +621,6 @@ func (b *Broker) handleDisplay(conn net.Conn, fr transport.Framer, kind byte) {
 		b.mu.Unlock()
 		b.stats.BusyRejected.Add(1)
 		b.log.Warnf("display from %v refused by admission control (retry after %v)", conn.RemoteAddr(), retry)
-		// Busy refusals travel in legacy framing like the welcome they
-		// replace, so any client version can decode them.
 		_ = transport.WriteMessage(conn, transport.Message{Type: transport.MsgBusy, Payload: transport.MarshalBusy(retry, "over budget")})
 		return
 	}
@@ -649,10 +639,10 @@ func (b *Broker) handleDisplay(conn net.Conn, fr transport.Framer, kind byte) {
 		c.pacer.Close()
 		b.log.Infof("display %d disconnected", c.id)
 	}()
-	if err := transport.WriteMessage(conn, transport.Message{Type: transport.MsgHello, Payload: transport.HelloPayload(transport.RoleDisplay, fr.Version)}); err != nil {
+	if err := transport.WriteMessage(conn, transport.Message{Type: transport.MsgHello, Payload: transport.HelloPayload(transport.RoleDisplay, transport.KindViewer)}); err != nil {
 		return
 	}
-	b.log.Infof("display %d connected from %v (proto v%d)", c.id, c.remote, fr.Version+1)
+	b.log.Infof("display %d connected from %v", c.id, c.remote)
 
 	b.wg.Add(1)
 	go func() {
@@ -661,7 +651,7 @@ func (b *Broker) handleDisplay(conn net.Conn, fr transport.Framer, kind byte) {
 	}()
 
 	for {
-		m, err := c.fr.ReadMessage(conn)
+		m, err := transport.ReadMessage(conn)
 		if err != nil {
 			if errors.Is(err, transport.ErrChecksum) {
 				b.stats.CorruptDropped.Add(1)
@@ -680,7 +670,7 @@ func (b *Broker) handleDisplay(conn net.Conn, fr transport.Framer, kind byte) {
 		case transport.MsgPing:
 			// Liveness probe from a reconnect-capable viewer.
 			c.wmu.Lock()
-			_ = c.fr.WriteMessage(conn, transport.Message{Type: transport.MsgPong, Payload: m.Payload})
+			_ = transport.WriteMessage(conn, transport.Message{Type: transport.MsgPong, Payload: m.Payload})
 			c.wmu.Unlock()
 		case transport.MsgBye:
 			return
@@ -720,7 +710,7 @@ func (b *Broker) routeToRenderers(m transport.Message) {
 	b.mu.Unlock()
 	for _, r := range rends {
 		r.wmu.Lock()
-		err := r.fr.WriteMessage(r.conn, m)
+		err := transport.WriteMessage(r.conn, m)
 		r.wmu.Unlock()
 		if err == nil {
 			b.stats.ControlsRouted.Add(1)
@@ -861,8 +851,7 @@ func (b *Broker) sender(c *client) {
 			c.marshalBuf = payload
 			out := transport.Message{Type: transport.MsgImage, Payload: payload}
 			if tc != nil {
-				// Forward the trace at the next hop ordinal; the v1/v2
-				// framer strips it for pre-trace clients.
+				// Forward the trace at the next hop ordinal.
 				fwd := *tc
 				fwd.Hop++
 				out.Trace = &fwd
@@ -870,7 +859,7 @@ func (b *Broker) sender(c *client) {
 			t0 := time.Now()
 			endSend := tr.Begin(track, "stream", "send", "frame", sf.ID, "bytes", len(payload))
 			c.wmu.Lock()
-			err = c.fr.WriteMessage(c.conn, out)
+			err = transport.WriteMessage(c.conn, out)
 			c.wmu.Unlock()
 			endSend()
 			if err != nil {

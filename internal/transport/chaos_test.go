@@ -44,17 +44,17 @@ func (e *chaosEnv) logged(substr string) bool {
 	return false
 }
 
-// chaosFrameData is the per-frame payload; the on-wire v2 frame length
-// is derived from it in chaosWireFrameLen.
+// chaosFrameData is the per-frame payload; the on-wire frame length is
+// derived from it in chaosWireFrameLen.
 var chaosFrameData = make([]byte, 100)
 
-// chaosWireFrameLen is the exact v2 on-wire length of one test frame:
+// chaosWireFrameLen is the exact on-wire length of one test frame:
 // 6-byte header + ImageMsg payload (21 + len("raw") + data) + CRC32.
 const chaosWireFrameLen = 6 + (21 + 3 + 100) + 4
 
-// chaosHelloLen is the v1-framed client hello: 5-byte header + 2-byte
-// role/version payload.
-const chaosHelloLen = 7
+// chaosHelloLen is the renderer's framed hello: 6-byte header + 1-byte
+// role payload + CRC32.
+const chaosHelloLen = 6 + 1 + 4
 
 func newChaosEnv(t *testing.T, plan fault.Plan) *chaosEnv {
 	t.Helper()
@@ -341,7 +341,7 @@ func TestChaosSessionHeartbeatDetectsStalledLink(t *testing.T) {
 				if _, err := ReadMessage(c); err != nil {
 					return
 				}
-				WriteMessage(c, Message{Type: MsgHello, Payload: HelloPayload(RoleRenderer, ProtoV2)})
+				WriteMessage(c, Message{Type: MsgHello, Payload: HelloPayload(RoleRenderer, KindViewer)})
 				// Swallow everything, answer nothing.
 				buf := make([]byte, 4096)
 				for {

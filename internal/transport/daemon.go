@@ -23,11 +23,11 @@ import (
 // paper's display daemon "uses an image buffer to cope with faster
 // rendering rates").
 //
-// The daemon treats the wide-area network as hostile: peers negotiate
-// a CRC-checked wire framing at handshake (corrupt frames are counted
-// and dropped, never forwarded), v2 peers are pinged on a heartbeat
-// interval and evicted when silent past the dead-peer timeout, and
-// per-peer health is observable via Health.
+// The daemon treats the wide-area network as hostile: every frame is
+// CRC-checked (corrupt frames are counted and dropped, never
+// forwarded), peers are pinged on a heartbeat interval and evicted
+// when silent past the dead-peer timeout, and per-peer health is
+// observable via Health.
 type Daemon struct {
 	mu        sync.Mutex
 	ln        net.Listener
@@ -47,8 +47,8 @@ type Daemon struct {
 	// SetBufferFrames.
 	bufferFrames int
 
-	// Heartbeat state: hbInterval is how often v2 peers are pinged;
-	// hbTimeout is the silence threshold after which a v2 peer is
+	// Heartbeat state: hbInterval is how often peers are pinged;
+	// hbTimeout is the silence threshold after which a peer is
 	// evicted. hbStop ends the heartbeat goroutine (nil until
 	// started).
 	hbInterval time.Duration
@@ -91,7 +91,6 @@ type peer struct {
 	id     int
 	role   Role
 	conn   net.Conn
-	fr     Framer
 	remote string
 	out    chan Message
 	done   chan struct{}
@@ -111,8 +110,6 @@ type PeerHealth struct {
 	ID     int    `json:"id"`
 	Role   string `json:"role"`
 	Remote string `json:"remote"`
-	// Proto is the negotiated wire version (0 legacy, 1 CRC-checked).
-	Proto byte `json:"proto"`
 	// SinceLastSeenMS is the silence time at snapshot; RTTMS the last
 	// heartbeat round-trip (0 before the first pong).
 	SinceLastSeenMS float64 `json:"since_last_seen_ms"`
@@ -153,11 +150,10 @@ func (d *Daemon) SetBufferFrames(n int) {
 }
 
 // SetHeartbeat starts (or reconfigures) the daemon's liveness
-// monitor: every interval each CRC-capable (v2) peer is pinged, and a
-// v2 peer silent for longer than timeout is evicted — closed and
-// counted in PeersEvicted. Legacy peers cannot be told apart from
-// silent-but-healthy ones, so they are never evicted. timeout <= 0
-// defaults to 3x the interval; interval <= 0 stops the monitor.
+// monitor: every interval each peer is pinged, and a peer silent for
+// longer than timeout is evicted — closed and counted in
+// PeersEvicted. timeout <= 0 defaults to 3x the interval; interval
+// <= 0 stops the monitor.
 func (d *Daemon) SetHeartbeat(interval, timeout time.Duration) {
 	if timeout <= 0 {
 		timeout = 3 * interval
@@ -190,9 +186,6 @@ func (d *Daemon) heartbeat(interval, timeout time.Duration, stop chan struct{}) 
 		}
 		now := time.Now()
 		for _, p := range d.peers() {
-			if p.fr.Version < ProtoV2 {
-				continue
-			}
 			if silence := now.Sub(time.Unix(0, p.lastSeen.Load())); silence > timeout {
 				p.evicted.Store(true)
 				d.stats.PeersEvicted.Add(1)
@@ -239,10 +232,9 @@ func (d *Daemon) Health() []PeerHealth {
 			ID:              p.id,
 			Role:            p.role.String(),
 			Remote:          p.remote,
-			Proto:           p.fr.Version,
 			SinceLastSeenMS: float64(silence) / float64(time.Millisecond),
 			RTTMS:           float64(p.rttNS.Load()) / float64(time.Millisecond),
-			Healthy:         !hbOn || p.fr.Version < ProtoV2 || silence <= timeout,
+			Healthy:         !hbOn || silence <= timeout,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -379,11 +371,11 @@ func (d *Daemon) Close() error {
 func (d *Daemon) handle(conn net.Conn) {
 	defer conn.Close()
 	hello, err := ReadMessage(conn)
-	if err != nil || hello.Type != MsgHello || len(hello.Payload) < 1 {
+	if err != nil || hello.Type != MsgHello {
 		d.log.Warnf("bad handshake from %v: %v", conn.RemoteAddr(), err)
 		return
 	}
-	role, peerVer, err := ParseHello(hello.Payload)
+	role, _, err := ParseHello(hello.Payload)
 	if err != nil {
 		d.log.Warnf("bad hello from %v: %v", conn.RemoteAddr(), err)
 		return
@@ -392,7 +384,6 @@ func (d *Daemon) handle(conn net.Conn) {
 		d.log.Warnf("unknown role %d", role)
 		return
 	}
-	ver := NegotiateVersion(ProtoV3, peerVer)
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -401,7 +392,6 @@ func (d *Daemon) handle(conn net.Conn) {
 	p := &peer{
 		role:   role,
 		conn:   conn,
-		fr:     Framer{Version: ver},
 		remote: fmt.Sprint(conn.RemoteAddr()),
 		out:    make(chan Message, 4*d.bufferFrames),
 		done:   make(chan struct{}),
@@ -415,13 +405,12 @@ func (d *Daemon) handle(conn net.Conn) {
 		d.displays[p.id] = p
 	}
 	d.mu.Unlock()
-	d.log.Infof("%s %d connected from %v (proto v%d)", role, p.id, conn.RemoteAddr(), ver+1)
+	d.log.Infof("%s %d connected from %v", role, p.id, conn.RemoteAddr())
 
 	// Welcome ack: the peer's Dial blocks until registration is
 	// complete, so frames sent right after connecting cannot race past
-	// a display that is still registering. The welcome also carries
-	// the negotiated version (legacy peers ignore the extra byte).
-	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: HelloPayload(role, ver)}); err != nil {
+	// a display that is still registering.
+	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: HelloPayload(role, KindViewer)}); err != nil {
 		d.mu.Lock()
 		delete(d.renderers, p.id)
 		delete(d.displays, p.id)
@@ -450,7 +439,7 @@ func (d *Daemon) handle(conn net.Conn) {
 		for {
 			select {
 			case m := <-p.out:
-				if err := p.fr.WriteMessage(conn, m); err != nil {
+				if err := WriteMessage(conn, m); err != nil {
 					conn.Close()
 					return
 				}
@@ -461,7 +450,7 @@ func (d *Daemon) handle(conn net.Conn) {
 	}()
 
 	for {
-		m, err := p.fr.ReadMessage(conn)
+		m, err := ReadMessage(conn)
 		if err != nil {
 			if errors.Is(err, ErrChecksum) {
 				// The stream is still frame-aligned: drop the corrupt

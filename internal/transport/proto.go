@@ -39,7 +39,8 @@ type MsgType byte
 
 // Wire message types.
 const (
-	// MsgHello opens a connection: payload is [role byte].
+	// MsgHello opens a connection: payload is [role, kind?] (see
+	// HelloPayload). The daemon's welcome reply is a MsgHello too.
 	MsgHello MsgType = 1
 	// MsgImage carries one (piece of a) rendered frame.
 	MsgImage MsgType = 2
@@ -66,14 +67,13 @@ const (
 	// budget and the client should retry after the hinted delay
 	// instead of being accepted and starving the admitted sessions.
 	// Payload: 4-byte retry-after in milliseconds plus a reason
-	// string. Sent in place of the welcome hello, in legacy framing.
+	// string. Sent in place of the welcome hello.
 	MsgBusy MsgType = 9
 )
 
-// Client kinds, carried in an optional third hello byte so admission
+// Client kinds, carried in an optional second hello byte so admission
 // control can prioritize relays (which serve whole subtrees) over
-// individual viewers. Absent byte = KindViewer, so legacy hellos are
-// plain viewers.
+// individual viewers. Absent byte = KindViewer.
 const (
 	// KindViewer is an individual display client.
 	KindViewer byte = 0
@@ -81,29 +81,8 @@ const (
 	KindRelay byte = 1
 )
 
-// Wire protocol versions, negotiated at handshake. A hello (and the
-// daemon's welcome reply) may carry a second payload byte naming the
-// highest version the sender speaks; both sides then use the minimum.
-// Legacy single-byte hellos negotiate ProtoV1, so old and new
-// binaries interoperate in either direction.
-const (
-	// ProtoV1 is the legacy framing: 5-byte header (length, type), no
-	// integrity check.
-	ProtoV1 byte = 0
-	// ProtoV2 adds a flags byte to the header and a CRC32 (IEEE)
-	// trailer over type+flags+payload, so corrupted frames are
-	// detected and dropped instead of displayed.
-	ProtoV2 byte = 1
-	// ProtoV3 adds an optional trace-context block (flagTrace) between
-	// header and payload: trace ID, frame ID, hop ordinal and origin
-	// timestamp, so every process a frame crosses can log provenance
-	// events against a shared identity. V2 peers never see the block —
-	// a v3 framer only emits it on v3-negotiated links, so tracing and
-	// non-tracing peers interoperate.
-	ProtoV3 byte = 2
-)
-
-// v2+ header flag bits.
+// Header flag bits. flagCRC is always set by the writer; the reader
+// checks the CRC whatever the flags say.
 const (
 	flagCRC   byte = 1 << 0
 	flagTrace byte = 1 << 1
@@ -112,10 +91,10 @@ const (
 // traceCtxSize is the wire size of a TraceCtx block.
 const traceCtxSize = 21
 
-// TraceCtx is the compact per-frame trace context carried in v3
-// framing: enough identity to correlate provenance events recorded by
-// every process the frame crosses, cheap enough to ride every image
-// message.
+// TraceCtx is the compact per-frame trace context carried in the
+// optional trace block: enough identity to correlate provenance events
+// recorded by every process the frame crosses, cheap enough to ride
+// every image message.
 type TraceCtx struct {
 	// TraceID identifies the originating stream (one render session);
 	// random per origin process.
@@ -142,17 +121,15 @@ func (t *TraceCtx) appendTo(out []byte) []byte {
 	return append(out, b[:]...)
 }
 
-// parseTraceCtx deserializes a trace-context block.
-func parseTraceCtx(p []byte) (*TraceCtx, error) {
-	if len(p) < traceCtxSize {
-		return nil, ErrTruncated
-	}
+// parseTraceCtx deserializes a trace-context block of traceCtxSize
+// bytes.
+func parseTraceCtx(p []byte) *TraceCtx {
 	return &TraceCtx{
 		TraceID:        binary.BigEndian.Uint64(p),
 		FrameID:        binary.BigEndian.Uint32(p[8:]),
 		Hop:            p[12],
 		OriginUnixNano: int64(binary.BigEndian.Uint64(p[13:])),
-	}, nil
+	}
 }
 
 // maxMessage bounds a wire message to keep a corrupt length prefix
@@ -165,8 +142,8 @@ const maxMessage = 64 << 20
 // read errors with errors.Is.
 var ErrTooLarge = errors.New("transport: message exceeds size limit")
 
-// ErrChecksum reports a v2 frame whose CRC32 trailer does not match
-// its contents. The stream position is past the frame when it is
+// ErrChecksum reports a frame whose CRC32 trailer does not match its
+// contents. The stream position is past the frame when it is
 // returned, so callers may drop the message and keep reading.
 var ErrChecksum = errors.New("transport: message checksum mismatch")
 
@@ -174,56 +151,25 @@ var ErrChecksum = errors.New("transport: message checksum mismatch")
 type Message struct {
 	Type    MsgType
 	Payload []byte
-	// Trace is the optional provenance context. It is carried on the
-	// wire only at ProtoV3; lower-version framers silently strip it, so
-	// tracing peers interoperate with v2/v1 peers (frames flow, the
-	// trace just ends at the downgrade boundary).
+	// Trace is the optional provenance context, carried in the
+	// frame's trace block when set.
 	Trace *TraceCtx
 }
 
-// WriteMessage frames and writes a message in legacy (v1) framing.
+// WriteMessage frames and writes one message as
+// [len u32][type][flags] [trace block if flagTrace] payload crc32.
+// The length counts the payload only; the CRC32 (IEEE) covers type,
+// flags, trace block and payload.
 func WriteMessage(w io.Writer, m Message) error {
-	return Framer{}.WriteMessage(w, m)
-}
-
-// ReadMessage reads one legacy (v1) framed message.
-func ReadMessage(r io.Reader) (Message, error) {
-	return Framer{}.ReadMessage(r)
-}
-
-// Framer frames messages at a negotiated protocol version. The zero
-// value speaks ProtoV1 (the legacy 5-byte header); a ProtoV2 framer
-// adds a flags byte and a CRC32 integrity trailer; a ProtoV3 framer
-// may additionally carry a trace-context block. A Framer is set once
-// at handshake and is safe for concurrent use afterwards.
-type Framer struct {
-	// Version is the negotiated wire version (ProtoV1..ProtoV3).
-	Version byte
-}
-
-// WriteMessage frames and writes one message. A Trace on the message
-// is written only at ProtoV3 — lower versions strip it, keeping the
-// stream legible to pre-trace peers.
-func (f Framer) WriteMessage(w io.Writer, m Message) error {
 	if len(m.Payload) > maxMessage {
 		return fmt.Errorf("transport: message of %d bytes: %w", len(m.Payload), ErrTooLarge)
-	}
-	if f.Version < ProtoV2 {
-		var hdr [5]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(m.Payload)))
-		hdr[4] = byte(m.Type)
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		_, err := w.Write(m.Payload)
-		return err
 	}
 	var hdr [6]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(m.Payload)))
 	hdr[4] = byte(m.Type)
 	hdr[5] = flagCRC
 	var trace []byte
-	if f.Version >= ProtoV3 && m.Trace != nil {
+	if m.Trace != nil {
 		hdr[5] |= flagTrace
 		var buf [traceCtxSize]byte
 		trace = m.Trace.appendTo(buf[:0])
@@ -249,28 +195,12 @@ func (f Framer) WriteMessage(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadMessage reads one framed message. At ProtoV2 it verifies the
-// CRC32 trailer and returns ErrChecksum (with the stream advanced
-// past the frame) on mismatch, so callers can drop the corrupt frame
-// and continue; ErrTooLarge reports a length prefix over the limit,
-// which on a CRC-checked stream usually means a corrupted header and
-// is unrecoverable without a reconnect.
-func (f Framer) ReadMessage(r io.Reader) (Message, error) {
-	if f.Version < ProtoV2 {
-		var hdr [5]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return Message{}, err
-		}
-		n := binary.BigEndian.Uint32(hdr[:4])
-		if n > maxMessage {
-			return Message{}, fmt.Errorf("transport: message length %d: %w", n, ErrTooLarge)
-		}
-		m := Message{Type: MsgType(hdr[4]), Payload: make([]byte, n)}
-		if _, err := io.ReadFull(r, m.Payload); err != nil {
-			return Message{}, err
-		}
-		return m, nil
-	}
+// ReadMessage reads one framed message and verifies its CRC32
+// trailer. A mismatch returns ErrChecksum with the stream advanced
+// past the frame, so callers can drop the corrupt frame and continue;
+// ErrTooLarge reports a length prefix over the limit, which usually
+// means a corrupted header and is unrecoverable without a reconnect.
+func ReadMessage(r io.Reader) (Message, error) {
 	var hdr [6]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Message{}, err
@@ -288,67 +218,40 @@ func (f Framer) ReadMessage(r io.Reader) (Message, error) {
 		return Message{}, err
 	}
 	trace, payload, trailer := body[:extra], body[extra:extra+n], body[extra+n:]
-	if hdr[5]&flagCRC != 0 {
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[4:6])
-		crc.Write(trace)
-		crc.Write(payload)
-		if got, want := crc.Sum32(), binary.BigEndian.Uint32(trailer); got != want {
-			return Message{}, fmt.Errorf("transport: crc %08x != %08x: %w", got, want, ErrChecksum)
-		}
+	crc := crc32.NewIEEE()
+	crc.Write(hdr[4:6])
+	crc.Write(trace)
+	crc.Write(payload)
+	if got, want := crc.Sum32(), binary.BigEndian.Uint32(trailer); got != want {
+		return Message{}, fmt.Errorf("transport: crc %08x != %08x: %w", got, want, ErrChecksum)
 	}
 	m := Message{Type: MsgType(hdr[4]), Payload: payload}
 	if len(trace) > 0 {
-		tc, err := parseTraceCtx(trace)
-		if err != nil {
-			return Message{}, err
-		}
-		m.Trace = tc
+		m.Trace = parseTraceCtx(trace)
 	}
 	return m, nil
 }
 
-// HelloPayload builds a hello (or welcome) payload advertising a role
-// and the highest protocol version the sender speaks.
-func HelloPayload(role Role, version byte) []byte {
-	return []byte{byte(role), version}
-}
-
-// HelloPayloadKind builds a hello payload that additionally announces
-// the client kind (KindViewer, KindRelay). KindViewer omits the byte,
-// matching what pre-kind peers send.
-func HelloPayloadKind(role Role, version, kind byte) []byte {
+// HelloPayload builds a hello (or welcome) payload: the role, then the
+// client kind (KindViewer, KindRelay). KindViewer omits the byte.
+func HelloPayload(role Role, kind byte) []byte {
 	if kind == KindViewer {
-		return HelloPayload(role, version)
+		return []byte{byte(role)}
 	}
-	return []byte{byte(role), version, kind}
+	return []byte{byte(role), kind}
 }
 
-// ParseHello extracts the role and advertised protocol version from a
-// hello payload. Legacy single-byte payloads advertise ProtoV1.
+// ParseHello extracts the role and client kind from a hello payload;
+// hellos without the kind byte are KindViewer.
 func ParseHello(p []byte) (Role, byte, error) {
 	if len(p) < 1 {
 		return 0, 0, fmt.Errorf("transport: empty hello: %w", ErrTruncated)
 	}
-	v := ProtoV1
-	if len(p) >= 2 {
-		v = p[1]
-	}
-	return Role(p[0]), v, nil
-}
-
-// ParseHelloKind additionally extracts the client kind; hellos without
-// the third byte are KindViewer.
-func ParseHelloKind(p []byte) (Role, byte, byte, error) {
-	role, v, err := ParseHello(p)
-	if err != nil {
-		return 0, 0, 0, err
-	}
 	kind := KindViewer
-	if len(p) >= 3 {
-		kind = p[2]
+	if len(p) >= 2 {
+		kind = p[1]
 	}
-	return role, v, kind, nil
+	return Role(p[0]), kind, nil
 }
 
 // MarshalBusy builds a MsgBusy payload from a retry-after hint and a
@@ -369,19 +272,6 @@ func UnmarshalBusy(p []byte) (retryAfter time.Duration, reason string, err error
 		return 0, "", ErrTruncated
 	}
 	return time.Duration(binary.BigEndian.Uint32(p)) * time.Millisecond, string(p[4:]), nil
-}
-
-// NegotiateVersion returns the wire version two peers settle on: the
-// lower of the two advertisements, capped at ProtoV3.
-func NegotiateVersion(a, b byte) byte {
-	v := a
-	if b < v {
-		v = b
-	}
-	if v > ProtoV3 {
-		v = ProtoV3
-	}
-	return v
 }
 
 // MarshalPing builds a ping (or pong) payload from a sender-clock

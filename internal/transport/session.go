@@ -330,7 +330,7 @@ func (s *Session) run(ep *Endpoint) {
 			return
 		}
 		s.reconnects.Add(1)
-		s.cfg.Logf("transport: reconnected (proto v%d)", next.ProtoVersion()+1)
+		s.cfg.Logf("transport: reconnected")
 		ep = next
 	}
 }

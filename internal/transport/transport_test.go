@@ -12,31 +12,20 @@ import (
 	"repro/internal/wan"
 )
 
+// TestMessageFraming: the handshake and control messages, hello, busy
+// and bye included, go through the one framing and read back in order.
 func TestMessageFraming(t *testing.T) {
-	var buf bytes.Buffer
-	msgs := []Message{
-		{Type: MsgHello, Payload: []byte{1}},
+	roundTrip(t, []Message{
+		{Type: MsgHello, Payload: HelloPayload(RoleDisplay, KindRelay)},
 		{Type: MsgImage, Payload: bytes.Repeat([]byte{7}, 1000)},
+		{Type: MsgPing, Payload: MarshalPing(42)},
+		{Type: MsgBusy, Payload: MarshalBusy(time.Second, "over budget")},
 		{Type: MsgBye},
-	}
-	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, want := range msgs {
-		got, err := ReadMessage(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("message %d mismatch", i)
-		}
-	}
+	})
 }
 
 func TestReadMessageRejectsHugeLength(t *testing.T) {
-	buf := bytes.NewBuffer([]byte{0xff, 0xff, 0xff, 0xff, 1})
+	buf := bytes.NewBuffer([]byte{0xff, 0xff, 0xff, 0xff, 1, flagCRC})
 	if _, err := ReadMessage(buf); err == nil {
 		t.Fatal("huge length accepted")
 	}

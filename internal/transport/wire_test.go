@@ -11,15 +11,11 @@ import (
 )
 
 func TestErrTooLargeSentinel(t *testing.T) {
-	// Read side, both framings: a length prefix over the limit is the
-	// distinct ErrTooLarge, not a generic error.
-	v1 := bytes.NewBuffer([]byte{0xff, 0xff, 0xff, 0xff, 1})
-	if _, err := ReadMessage(v1); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("v1 err = %v, want ErrTooLarge", err)
-	}
-	v2 := bytes.NewBuffer([]byte{0xff, 0xff, 0xff, 0xff, 1, 1})
-	if _, err := (Framer{Version: ProtoV2}).ReadMessage(v2); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("v2 err = %v, want ErrTooLarge", err)
+	// Read side: a length prefix over the limit is the distinct
+	// ErrTooLarge, not a generic error.
+	hdr := bytes.NewBuffer([]byte{0xff, 0xff, 0xff, 0xff, 1, flagCRC})
+	if _, err := ReadMessage(hdr); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("read err = %v, want ErrTooLarge", err)
 	}
 	// Write side: an oversized payload is refused with the same
 	// sentinel before anything hits the wire.
@@ -33,49 +29,74 @@ func TestErrTooLargeSentinel(t *testing.T) {
 	}
 }
 
-func TestFramerV2RoundTrip(t *testing.T) {
-	fr := Framer{Version: ProtoV2}
+// roundTrip writes msgs onto one stream and checks that they read
+// back identical and in order, trace contexts included.
+func roundTrip(t *testing.T, msgs []Message) {
+	t.Helper()
 	var buf bytes.Buffer
-	msgs := []Message{
-		{Type: MsgHello, Payload: []byte{1, 1}},
-		{Type: MsgImage, Payload: bytes.Repeat([]byte{7}, 1000)},
-		{Type: MsgPing, Payload: MarshalPing(42)},
-		{Type: MsgBye},
-	}
 	for _, m := range msgs {
-		if err := fr.WriteMessage(&buf, m); err != nil {
+		if err := WriteMessage(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, want := range msgs {
-		got, err := fr.ReadMessage(&buf)
+		got, err := ReadMessage(&buf)
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
 		if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("message %d mismatch", i)
 		}
+		if (got.Trace == nil) != (want.Trace == nil) || (want.Trace != nil && *got.Trace != *want.Trace) {
+			t.Fatalf("message %d trace = %+v, want %+v", i, got.Trace, want.Trace)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes left after the last message", buf.Len())
 	}
 }
 
-func TestFramerV2DetectsCorruptionAndRealigns(t *testing.T) {
-	fr := Framer{Version: ProtoV2}
-	var buf bytes.Buffer
-	if err := fr.WriteMessage(&buf, Message{Type: MsgImage, Payload: bytes.Repeat([]byte{9}, 64)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fr.WriteMessage(&buf, Message{Type: MsgControl, Payload: []byte("intact")}); err != nil {
-		t.Fatal(err)
-	}
-	wire := buf.Bytes()
-	wire[6+10] ^= 0xFF // flip a payload byte of the first frame
+// TestFramerV2RoundTrip: untraced image payloads of every size class,
+// empty included, read back intact.
+func TestFramerV2RoundTrip(t *testing.T) {
+	roundTrip(t, []Message{
+		{Type: MsgImage},
+		{Type: MsgImage, Payload: []byte{0}},
+		{Type: MsgImage, Payload: bytes.Repeat([]byte{7}, 1000)},
+		{Type: MsgImage, Payload: bytes.Repeat([]byte{0xFF}, 1<<16)},
+	})
+}
 
-	r := bytes.NewReader(wire)
-	if _, err := fr.ReadMessage(r); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("err = %v, want ErrChecksum", err)
+// TestFramerV3TraceRoundTrip: traced and untraced messages share one
+// stream, and each trace block survives the write/read cycle intact.
+func TestFramerV3TraceRoundTrip(t *testing.T) {
+	roundTrip(t, []Message{
+		{Type: MsgImage, Payload: bytes.Repeat([]byte{7}, 500),
+			Trace: &TraceCtx{TraceID: 0xDEADBEEFCAFE, FrameID: 1293, Hop: 3, OriginUnixNano: 1_700_000_000_123_456_789}},
+		{Type: MsgImage, Payload: []byte{1, 2, 3}},
+		{Type: MsgAck, Payload: []byte{9}, Trace: &TraceCtx{TraceID: 1, FrameID: 2, Hop: 1}},
+	})
+}
+
+// checkCorruptionDetected frames "hello-world", applies corrupt to its
+// bytes and appends an intact control message. The corrupted frame
+// must fail the checksum, and the stream must stay frame-aligned so the
+// next message reads clean.
+func checkCorruptionDetected(t *testing.T, trace *TraceCtx, corrupt func(wire []byte)) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, Message{Type: MsgImage, Payload: []byte("hello-world"), Trace: trace}); err != nil {
+		t.Fatal(err)
 	}
-	// The stream is still frame-aligned: the next message reads clean.
-	got, err := fr.ReadMessage(r)
+	corrupt(buf.Bytes())
+	if err := WriteMessage(&buf, Message{Type: MsgControl, Payload: []byte("intact")}); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(buf.Bytes())
+	if m, err := ReadMessage(r); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("corrupt frame read as (%q, %v), want ErrChecksum", m.Payload, err)
+	}
+	got, err := ReadMessage(r)
 	if err != nil {
 		t.Fatalf("post-corruption read: %v", err)
 	}
@@ -84,48 +105,47 @@ func TestFramerV2DetectsCorruptionAndRealigns(t *testing.T) {
 	}
 }
 
+func TestFramerV2DetectsCorruptionAndRealigns(t *testing.T) {
+	checkCorruptionDetected(t, nil, func(w []byte) { w[6+3] ^= 0xFF })
+}
+
+// TestFramerV2DetectsTypeFlip: the type byte is covered by the CRC too.
 func TestFramerV2DetectsTypeFlip(t *testing.T) {
-	fr := Framer{Version: ProtoV2}
-	var buf bytes.Buffer
-	if err := fr.WriteMessage(&buf, Message{Type: MsgImage, Payload: []byte{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	wire := buf.Bytes()
-	wire[4] ^= 0xFF // the type byte is covered by the CRC too
-	if _, err := fr.ReadMessage(bytes.NewReader(wire)); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("err = %v, want ErrChecksum", err)
-	}
+	checkCorruptionDetected(t, nil, func(w []byte) { w[4] ^= 0xFF })
 }
 
-func TestNegotiateVersion(t *testing.T) {
-	cases := []struct{ a, b, want byte }{
-		{ProtoV1, ProtoV1, ProtoV1},
-		{ProtoV2, ProtoV1, ProtoV1},
-		{ProtoV1, ProtoV2, ProtoV1},
-		{ProtoV2, ProtoV2, ProtoV2},
-		{ProtoV3, ProtoV2, ProtoV2},
-		{ProtoV3, ProtoV3, ProtoV3},
-		{9, 7, ProtoV3}, // future versions cap at what we speak
-	}
-	for _, c := range cases {
-		if got := NegotiateVersion(c.a, c.b); got != c.want {
-			t.Errorf("NegotiateVersion(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
+// TestFramerV3TraceCoveredByCRC: the trace block is load-bearing
+// routing metadata, not an unprotected annex.
+func TestFramerV3TraceCoveredByCRC(t *testing.T) {
+	checkCorruptionDetected(t, &TraceCtx{TraceID: 5, FrameID: 6, Hop: 1}, func(w []byte) { w[6] ^= 0xFF })
 }
 
+// TestReadMessageChecksCRCWithFlagCleared: the reader checks the CRC
+// whatever the flags byte says, so clearing flagCRC does not let a
+// corrupted payload through.
+func TestReadMessageChecksCRCWithFlagCleared(t *testing.T) {
+	checkCorruptionDetected(t, nil, func(w []byte) {
+		w[5] &^= flagCRC
+		w[6+3] ^= 0x40 // "hello-world" -> "hel,o-world"
+	})
+}
+
+// TestParseHelloLegacyAndV2: a one-byte hello is a viewer, a second
+// byte names the client kind, and an empty hello is refused.
 func TestParseHelloLegacyAndV2(t *testing.T) {
-	if role, v, err := ParseHello([]byte{byte(RoleDisplay)}); err != nil || role != RoleDisplay || v != ProtoV1 {
-		t.Fatalf("legacy hello = (%v,%d,%v)", role, v, err)
+	if role, kind, err := ParseHello(HelloPayload(RoleDisplay, KindViewer)); err != nil || role != RoleDisplay || kind != KindViewer {
+		t.Fatalf("viewer hello = (%v,%d,%v)", role, kind, err)
 	}
-	if role, v, err := ParseHello(HelloPayload(RoleRenderer, ProtoV2)); err != nil || role != RoleRenderer || v != ProtoV2 {
-		t.Fatalf("v2 hello = (%v,%d,%v)", role, v, err)
+	if role, kind, err := ParseHello(HelloPayload(RoleDisplay, KindRelay)); err != nil || role != RoleDisplay || kind != KindRelay {
+		t.Fatalf("relay hello = (%v,%d,%v)", role, kind, err)
 	}
 	if _, _, err := ParseHello(nil); err == nil {
 		t.Fatal("empty hello accepted")
 	}
 }
 
+// TestEndpointNegotiatesV2: a dialed endpoint is registered and healthy
+// once the handshake returns.
 func TestEndpointNegotiatesV2(t *testing.T) {
 	d, err := ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -137,65 +157,9 @@ func TestEndpointNegotiatesV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	if ep.ProtoVersion() != ProtoV3 {
-		t.Fatalf("negotiated v%d, want v%d", ep.ProtoVersion(), ProtoV3)
-	}
 	health := d.Health()
-	if len(health) != 1 || health[0].Proto != ProtoV3 || !health[0].Healthy {
+	if len(health) != 1 || health[0].Role != "renderer" || !health[0].Healthy {
 		t.Fatalf("health = %+v", health)
-	}
-}
-
-// A legacy (v1-only) peer and a v2 peer interoperate through the
-// daemon: the image crosses framings.
-func TestLegacyPeerInterop(t *testing.T) {
-	d, err := ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	view, err := Dial(d.Addr().String(), RoleDisplay, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer view.Close()
-
-	// Legacy renderer: single-byte hello, v1 framing throughout.
-	conn, err := net.Dial("tcp", d.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: []byte{byte(RoleRenderer)}}); err != nil {
-		t.Fatal(err)
-	}
-	welcome, err := ReadMessage(conn)
-	if err != nil || welcome.Type != MsgHello {
-		t.Fatalf("welcome = %+v, %v", welcome, err)
-	}
-	if _, v, _ := ParseHello(welcome.Payload); v != ProtoV1 {
-		t.Fatalf("daemon offered v%d to legacy peer", v)
-	}
-	im := &ImageMsg{FrameID: 3, PieceCount: 1, X1: 4, Y1: 4, W: 4, H: 4, Codec: "raw", Data: []byte{1, 2}}
-	p, err := im.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMessage(conn, Message{Type: MsgImage, Payload: p}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-view.Inbox():
-		if m.Type != MsgImage {
-			t.Fatalf("got type %d", m.Type)
-		}
-		got, err := UnmarshalImage(m.Payload)
-		if err != nil || got.FrameID != 3 {
-			t.Fatalf("image = %+v, %v", got, err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("image did not cross framings")
 	}
 }
 
@@ -230,13 +194,13 @@ func TestDaemonEvictsSilentV2Peer(t *testing.T) {
 	defer d.Close()
 	d.SetHeartbeat(10*time.Millisecond, 40*time.Millisecond)
 
-	// Handshake as v2 by hand, then go silent: no pongs, ever.
+	// Handshake by hand, then go silent: no pongs, ever.
 	conn, err := net.Dial("tcp", d.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: HelloPayload(RoleDisplay, ProtoV2)}); err != nil {
+	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: HelloPayload(RoleDisplay, KindViewer)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadMessage(conn); err != nil {
@@ -262,57 +226,25 @@ func TestDaemonEvictsSilentV2Peer(t *testing.T) {
 	}
 }
 
-func TestDaemonNeverEvictsLegacyPeer(t *testing.T) {
-	d, err := ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	d.SetHeartbeat(5*time.Millisecond, 15*time.Millisecond)
-
-	conn, err := net.Dial("tcp", d.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Legacy hello: the daemon cannot tell silent-but-healthy from
-	// dead, so it must keep the peer.
-	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: []byte{byte(RoleDisplay)}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMessage(conn); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond) // many timeouts worth of silence
-	if got := d.Stats().PeersEvicted.Load(); got != 0 {
-		t.Fatalf("legacy peer evicted (%d)", got)
-	}
-	h := d.Health()
-	if len(h) != 1 || h[0].Proto != ProtoV1 || !h[0].Healthy {
-		t.Fatalf("health = %+v", h)
-	}
-}
-
 func TestEndpointDropsCorruptFramesAndCounts(t *testing.T) {
-	// Daemon -> endpoint direction: feed the endpoint a corrupt v2
-	// frame by hand and verify it is counted, dropped, and the
-	// connection survives.
+	// Daemon -> endpoint direction: feed the endpoint a corrupt frame
+	// by hand and verify it is counted, dropped, and the connection
+	// survives.
 	srv, cli := net.Pipe()
 	defer srv.Close()
 	go func() {
 		// Daemon side of the handshake.
 		ReadMessage(srv)
-		WriteMessage(srv, Message{Type: MsgHello, Payload: HelloPayload(RoleDisplay, ProtoV2)})
-		fr := Framer{Version: ProtoV2}
+		WriteMessage(srv, Message{Type: MsgHello, Payload: HelloPayload(RoleDisplay, KindViewer)})
 		var buf bytes.Buffer
-		fr.WriteMessage(&buf, Message{Type: MsgControl, Payload: []byte("bad")})
+		WriteMessage(&buf, Message{Type: MsgControl, Payload: []byte("bad")})
 		wire := buf.Bytes()
 		wire[6] ^= 0xFF // corrupt the first payload byte
 		srv.Write(wire)
-		fr.WriteMessage(srv, Message{Type: MsgControl, Payload: []byte("good")})
+		WriteMessage(srv, Message{Type: MsgControl, Payload: []byte("good")})
 		// Drain the endpoint's writes so pings/byes never block.
 		for {
-			if _, err := fr.ReadMessage(srv); err != nil {
+			if _, err := ReadMessage(srv); err != nil {
 				return
 			}
 		}
@@ -435,145 +367,72 @@ func TestSessionSendFailsFastWhileDown(t *testing.T) {
 	t.Fatal("Send never returned ErrReconnecting while down")
 }
 
-// The proto version header must stay big-endian length-first so v1
-// readers reject (rather than misparse) v2 frames; lock the layout.
-func TestV2HeaderLayout(t *testing.T) {
-	fr := Framer{Version: ProtoV2}
+// checkFrameLayout frames a one-byte image and locks the wire layout:
+// big-endian payload-only length, type, flags, the 21-byte trace block
+// when flagTrace is set, then payload and CRC trailer.
+func checkFrameLayout(t *testing.T, trace *TraceCtx, wantLen int, wantFlags byte) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := fr.WriteMessage(&buf, Message{Type: MsgImage, Payload: []byte{0xAB}}); err != nil {
+	if err := WriteMessage(&buf, Message{Type: MsgImage, Payload: []byte{0xAB}, Trace: trace}); err != nil {
 		t.Fatal(err)
 	}
 	wire := buf.Bytes()
-	if len(wire) != 6+1+4 {
-		t.Fatalf("v2 frame length %d, want 11", len(wire))
+	if len(wire) != wantLen {
+		t.Fatalf("frame length %d, want %d", len(wire), wantLen)
 	}
 	if n := binary.BigEndian.Uint32(wire[:4]); n != 1 {
-		t.Fatalf("length field = %d", n)
+		t.Fatalf("length field = %d, want payload-only 1", n)
 	}
-	if wire[4] != byte(MsgImage) || wire[5] != flagCRC {
-		t.Fatalf("type/flags = %x %x", wire[4], wire[5])
+	if wire[4] != byte(MsgImage) || wire[5] != wantFlags {
+		t.Fatalf("type/flags = %x %x, want %x %x", wire[4], wire[5], byte(MsgImage), wantFlags)
 	}
-}
-
-// TestFramerV3TraceRoundTrip: the v3 optional trace block survives a
-// write/read cycle intact, and untraced v3 messages omit the block
-// entirely (flag clear, no extra bytes).
-func TestFramerV3TraceRoundTrip(t *testing.T) {
-	fr := Framer{Version: ProtoV3}
-	var buf bytes.Buffer
-	tc := &TraceCtx{TraceID: 0xDEADBEEFCAFE, FrameID: 1293, Hop: 3, OriginUnixNano: 1_700_000_000_123_456_789}
-	msgs := []Message{
-		{Type: MsgImage, Payload: bytes.Repeat([]byte{7}, 500), Trace: tc},
-		{Type: MsgImage, Payload: []byte{1, 2, 3}}, // untraced rides the same stream
-		{Type: MsgAck, Payload: []byte{9}, Trace: &TraceCtx{TraceID: 1, FrameID: 2, Hop: 1}},
+	if wire[len(wire)-5] != 0xAB {
+		t.Fatalf("payload byte = %x, want AB before the trailer", wire[len(wire)-5])
 	}
-	for _, m := range msgs {
-		if err := fr.WriteMessage(&buf, m); err != nil {
-			t.Fatal(err)
-		}
+	if trace == nil {
+		return
 	}
-	for i, want := range msgs {
-		got, err := fr.ReadMessage(&buf)
-		if err != nil {
-			t.Fatalf("msg %d: %v", i, err)
-		}
-		if !bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("msg %d payload mismatch", i)
-		}
-		if (got.Trace == nil) != (want.Trace == nil) {
-			t.Fatalf("msg %d trace presence = %v, want %v", i, got.Trace != nil, want.Trace != nil)
-		}
-		if want.Trace != nil && *got.Trace != *want.Trace {
-			t.Fatalf("msg %d trace = %+v, want %+v", i, got.Trace, want.Trace)
-		}
+	if id := binary.BigEndian.Uint64(wire[6:14]); id != trace.TraceID {
+		t.Fatalf("trace id on wire = %x", id)
+	}
+	if f := binary.BigEndian.Uint32(wire[14:18]); f != trace.FrameID {
+		t.Fatalf("frame id on wire = %x", f)
+	}
+	if wire[18] != trace.Hop {
+		t.Fatalf("hop on wire = %d", wire[18])
 	}
 }
 
-// TestFramerV3TraceCoveredByCRC: flipping a bit inside the trace block
-// must fail the checksum — the trace is load-bearing routing metadata,
-// not an unprotected annex.
-func TestFramerV3TraceCoveredByCRC(t *testing.T) {
-	fr := Framer{Version: ProtoV3}
-	var buf bytes.Buffer
-	if err := fr.WriteMessage(&buf, Message{
-		Type: MsgImage, Payload: []byte{1, 2, 3},
-		Trace: &TraceCtx{TraceID: 5, FrameID: 6, Hop: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	wire := buf.Bytes()
-	wire[6] ^= 0xFF // first byte of the trace block (after 6-byte header)
-	if _, err := (Framer{Version: ProtoV3}).ReadMessage(bytes.NewReader(wire)); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("corrupted trace read err = %v, want ErrChecksum", err)
-	}
+// TestV2HeaderLayout pins the untraced frame at 6 + n + 4 bytes.
+func TestV2HeaderLayout(t *testing.T) {
+	checkFrameLayout(t, nil, 6+1+4, flagCRC)
 }
 
-// TestOlderFramersStripTrace: a message carrying a trace context
-// written at v1 or v2 framing loses the trace silently — the exact
-// behavior that lets a v3 sender talk to a v2-negotiated peer.
-func TestOlderFramersStripTrace(t *testing.T) {
-	for _, ver := range []byte{ProtoV1, ProtoV2} {
-		fr := Framer{Version: ver}
-		var buf bytes.Buffer
-		if err := fr.WriteMessage(&buf, Message{
-			Type: MsgImage, Payload: []byte{4, 5},
-			Trace: &TraceCtx{TraceID: 9, FrameID: 1, Hop: 1},
-		}); err != nil {
-			t.Fatalf("v%d: %v", ver, err)
-		}
-		got, err := fr.ReadMessage(&buf)
-		if err != nil {
-			t.Fatalf("v%d: %v", ver, err)
-		}
-		if got.Trace != nil {
-			t.Fatalf("v%d framing leaked a trace context", ver)
-		}
-		if !bytes.Equal(got.Payload, []byte{4, 5}) {
-			t.Fatalf("v%d payload mismatch", ver)
-		}
-	}
+// TestV3HeaderLayout pins the traced frame at 6 + 21 + n + 4 bytes.
+func TestV3HeaderLayout(t *testing.T) {
+	checkFrameLayout(t, &TraceCtx{TraceID: 0x0102030405060708, FrameID: 0x0A0B0C0D, Hop: 2, OriginUnixNano: 1},
+		6+21+1+4, flagCRC|flagTrace)
 }
 
-// TestDaemonMixedVersionPeers: a v3 renderer with trace contexts and a
-// legacy v2 display on the same daemon. The v2 display must receive
-// every frame in clean v2 framing (no trace bytes), while a v3 display
-// sees the forwarded trace with the hop advanced.
-func TestDaemonMixedVersionPeers(t *testing.T) {
+// TestDaemonForwardsTraceHopAdvanced: a traced image from a renderer
+// reaches the display with the same trace and the hop advanced.
+func TestDaemonForwardsTraceHopAdvanced(t *testing.T) {
 	d, err := ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 
-	// v2 display: raw handshake pinned at ProtoV2.
-	v2conn, err := net.Dial("tcp", d.Addr().String())
+	disp, err := Dial(d.Addr().String(), RoleDisplay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v2conn.Close()
-	if err := WriteMessage(v2conn, Message{Type: MsgHello, Payload: HelloPayload(RoleDisplay, ProtoV2)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMessage(v2conn); err != nil {
-		t.Fatal(err)
-	}
-	v2fr := Framer{Version: ProtoV2}
-
-	// v3 display: the normal endpoint path.
-	v3disp, err := Dial(d.Addr().String(), RoleDisplay, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v3disp.Close()
-
+	defer disp.Close()
 	rend, err := Dial(d.Addr().String(), RoleRenderer, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rend.Close()
-	if rend.ProtoVersion() != ProtoV3 {
-		t.Fatalf("renderer negotiated v%d, want v%d", rend.ProtoVersion(), ProtoV3)
-	}
 
 	payload := bytes.Repeat([]byte{3}, 64)
 	if err := rend.Send(Message{
@@ -582,67 +441,65 @@ func TestDaemonMixedVersionPeers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-
-	// The v2 display gets the image, stripped of the trace.
-	v2conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	got, err := v2fr.ReadMessage(v2conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != MsgImage || !bytes.Equal(got.Payload, payload) {
-		t.Fatalf("v2 display got type %d, %d bytes", got.Type, len(got.Payload))
-	}
-	if got.Trace != nil {
-		t.Fatal("v2 display received a trace context")
-	}
-
-	// The v3 display gets the same image with the hop advanced.
 	select {
-	case m := <-v3disp.Inbox():
+	case m := <-disp.Inbox():
 		if m.Type != MsgImage || !bytes.Equal(m.Payload, payload) {
-			t.Fatalf("v3 display got type %d, %d bytes", m.Type, len(m.Payload))
+			t.Fatalf("display got type %d, %d bytes", m.Type, len(m.Payload))
 		}
 		if m.Trace == nil {
-			t.Fatal("v3 display lost the trace context")
+			t.Fatal("display lost the trace context")
 		}
 		if m.Trace.TraceID != 77 || m.Trace.FrameID != 8 || m.Trace.Hop != 2 || m.Trace.OriginUnixNano != 42 {
 			t.Fatalf("forwarded trace = %+v, want id 77 frame 8 hop 2 origin 42", m.Trace)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("v3 display never received the frame")
+		t.Fatal("display never received the frame")
 	}
 }
 
-// TestV3HeaderLayout locks the traced-frame wire layout: 6-byte v2
-// header, flagTrace set, 21-byte trace block big-endian, then payload
-// and CRC trailer.
-func TestV3HeaderLayout(t *testing.T) {
-	fr := Framer{Version: ProtoV3}
-	var buf bytes.Buffer
-	err := fr.WriteMessage(&buf, Message{
-		Type: MsgImage, Payload: []byte{0xAB},
-		Trace: &TraceCtx{TraceID: 0x0102030405060708, FrameID: 0x0A0B0C0D, Hop: 2, OriginUnixNano: 1},
+// FuzzReadMessage: arbitrary bytes never panic the reader or yield a
+// payload over the limit, and any message written, traced or not,
+// reads back identical.
+func FuzzReadMessage(f *testing.F) {
+	frame := func(m Message) []byte {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Add(frame(Message{Type: MsgImage, Payload: []byte("untraced")}))
+	f.Add(frame(Message{Type: MsgImage, Payload: []byte("traced"),
+		Trace: &TraceCtx{TraceID: 1, FrameID: 2, Hop: 3, OriginUnixNano: 4}}))
+	f.Add(frame(Message{Type: MsgControl, Payload: []byte("truncated")})[:10])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if m, err := ReadMessage(bytes.NewReader(data)); err == nil && len(m.Payload) > maxMessage {
+			t.Fatalf("payload of %d bytes over the %d limit", len(m.Payload), maxMessage)
+		}
+		var typ MsgType
+		if len(data) > 0 {
+			typ = MsgType(data[0])
+		}
+		var trace *TraceCtx
+		if len(data) >= traceCtxSize {
+			trace = parseTraceCtx(data)
+		}
+		for _, want := range []Message{{Type: typ, Payload: data}, {Type: typ, Payload: data, Trace: trace}} {
+			var buf bytes.Buffer
+			if err := WriteMessage(&buf, want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadMessage(&buf)
+			if err != nil {
+				t.Fatalf("read back: %v", err)
+			}
+			if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("read back type %d payload %x, want type %d payload %x", got.Type, got.Payload, want.Type, want.Payload)
+			}
+			if (got.Trace == nil) != (want.Trace == nil) || (want.Trace != nil && *got.Trace != *want.Trace) {
+				t.Fatalf("read back trace %+v, want %+v", got.Trace, want.Trace)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := buf.Bytes()
-	if len(wire) != 6+21+1+4 {
-		t.Fatalf("traced v3 frame length %d, want 32", len(wire))
-	}
-	if n := binary.BigEndian.Uint32(wire[:4]); n != 1 {
-		t.Fatalf("length field = %d, want payload-only 1", n)
-	}
-	if wire[5] != flagCRC|flagTrace {
-		t.Fatalf("flags = %x, want CRC|trace", wire[5])
-	}
-	if id := binary.BigEndian.Uint64(wire[6:14]); id != 0x0102030405060708 {
-		t.Fatalf("trace id on wire = %x", id)
-	}
-	if f := binary.BigEndian.Uint32(wire[14:18]); f != 0x0A0B0C0D {
-		t.Fatalf("frame id on wire = %x", f)
-	}
-	if wire[18] != 2 {
-		t.Fatalf("hop on wire = %d", wire[18])
-	}
 }
