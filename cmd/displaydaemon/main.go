@@ -52,8 +52,8 @@ func (s *stringList) Set(v string) error {
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7420", "listen address")
 	buffer := flag.Int("buffer", 8, "per-display image buffer depth (plain mode)")
-	heartbeat := flag.Duration("heartbeat", 0, "ping peers on this interval and evict after -peer-timeout of silence (plain mode, 0 = off)")
-	peerTimeout := flag.Duration("peer-timeout", 0, "silence threshold for evicting a dead peer (0 = 3x -heartbeat)")
+	heartbeat := flag.Duration("heartbeat", 0, "heartbeat interval (0 = off): plain mode pings peers and evicts one silent past -peer-timeout; relay mode probes the upstream link and reconnects when it is silent past -peer-timeout; -adaptive ignores it")
+	peerTimeout := flag.Duration("peer-timeout", 0, "silence threshold for a dead peer or upstream link (0 = 3x -heartbeat)")
 	adaptive := flag.Bool("adaptive", false, "run the adaptive stream broker (per-client rate control)")
 	target := flag.Duration("target", 200*time.Millisecond, "adaptive: target inter-frame delay per client")
 	queue := flag.Int("queue", 3, "adaptive: per-client frame queue depth (drop-oldest)")

@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -305,63 +304,6 @@ func trimFloat(x float64) string {
 		return fmt.Sprintf("%d", int64(x))
 	}
 	return fmt.Sprintf("%g", x)
-}
-
-// GaugeSet is a concurrency-safe set of named float64 gauges — the
-// live per-client instrumentation surface of the streaming subsystem
-// (estimated bandwidth, chosen quality, drops, cache hit rate, ...).
-type GaugeSet struct {
-	mu   sync.RWMutex
-	vals map[string]float64
-}
-
-// NewGaugeSet returns an empty gauge set.
-func NewGaugeSet() *GaugeSet {
-	return &GaugeSet{vals: map[string]float64{}}
-}
-
-// Set stores a gauge value.
-func (g *GaugeSet) Set(name string, v float64) {
-	g.mu.Lock()
-	g.vals[name] = v
-	g.mu.Unlock()
-}
-
-// Add increments a gauge by d (creating it at d).
-func (g *GaugeSet) Add(name string, d float64) {
-	g.mu.Lock()
-	g.vals[name] += d
-	g.mu.Unlock()
-}
-
-// Get reads a gauge (0 if unset).
-func (g *GaugeSet) Get(name string) float64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.vals[name]
-}
-
-// Snapshot copies every gauge.
-func (g *GaugeSet) Snapshot() map[string]float64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make(map[string]float64, len(g.vals))
-	for k, v := range g.vals {
-		out[k] = v
-	}
-	return out
-}
-
-// Names returns the gauge names, sorted.
-func (g *GaugeSet) Names() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]string, 0, len(g.vals))
-	for k := range g.vals {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Stopwatch measures named phases of a repeated operation.

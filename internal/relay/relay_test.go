@@ -232,6 +232,38 @@ func TestNodeDedup(t *testing.T) {
 	}
 }
 
+// TestNodeCloseLeaksNoGoroutines: Close returns promptly and leaks no
+// goroutine, even with a downstream connection that never sends its
+// hello.
+func TestNodeCloseLeaksNoGoroutines(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	root, err := stream.ListenAndServe("127.0.0.1:0", stream.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	n, err := ListenAndServe("127.0.0.1:0", Config{
+		Parents: []string{root.Addr().String()},
+		Retry:   fastRetry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	halfOpen, silent := net.Pipe()
+	defer silent.Close()
+	n.Broker().ServeConn(halfOpen)
+	closed := make(chan error, 1)
+	go func() { closed <- n.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked on a connection that never sent a hello")
+	}
+}
+
 // TestNodeNoParents: construction fails without at least one parent.
 func TestNodeNoParents(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/compress/prog"
 	"repro/internal/display"
 	"repro/internal/guard"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/provenance"
 	"repro/internal/transport"
@@ -62,13 +60,13 @@ type Broker struct {
 	framesAcct *guard.Account
 	pacerAcct  *guard.Account
 
-	mu         sync.Mutex
-	ln         net.Listener
-	clients    map[int]*client
-	renderers  map[int]*rendererPeer
-	nextID     int
-	closed     bool
-	advertised []string
+	// srv owns the connections; display peers carry a client session,
+	// renderer peers none.
+	srv *transport.Server[*client]
+
+	// advertised is the renderer's codec families (nil until it
+	// advertises).
+	advertised atomic.Pointer[[]string]
 
 	// ctrlForward, when set, receives every user-control message in
 	// addition to the connected renderers — the relay node's hook for
@@ -77,7 +75,7 @@ type Broker struct {
 
 	// Observability hooks (nil until Instrument/SetTracer): per-stage
 	// histograms and the span tracer. Swapped atomically so the
-	// sender hot path reads them without taking mu.
+	// sender hot path reads them without a lock.
 	tracer  atomic.Pointer[obs.Tracer]
 	encodeH atomic.Pointer[obs.Histogram]
 	sendH   atomic.Pointer[obs.Histogram]
@@ -92,31 +90,19 @@ type Broker struct {
 	traces  map[uint32]*transport.TraceCtx
 
 	stats BrokerStats
-	wg    sync.WaitGroup
-}
-
-type rendererPeer struct {
-	id   int
-	conn net.Conn
-	wmu  sync.Mutex
+	// wg tracks the display sessions' sender goroutines.
+	wg sync.WaitGroup
 }
 
 // client is one display session.
 type client struct {
-	id     int
-	kind   byte // transport.KindViewer or KindRelay
-	remote string
-	conn   net.Conn
-	est    *Estimator
-	ctrl   *Controller
-	pacer  *Pacer
-	gauges *metrics.GaugeSet
+	peer  *transport.Peer[*client]
+	est   *Estimator
+	ctrl  *Controller
+	pacer *Pacer
 
 	sentMu sync.Mutex
 	sent   map[uint32]time.Time
-
-	// wmu serializes conn writes (frame sender vs. pong replies).
-	wmu sync.Mutex
 
 	// marshalBuf is the sender goroutine's reusable wire-marshal
 	// scratch; only sender touches it, so no locking.
@@ -130,6 +116,9 @@ type client struct {
 
 	framesSent atomic.Int64
 	bytesSent  atomic.Int64
+	// frameBytes is the size of the last frame encoded for this
+	// session.
+	frameBytes atomic.Int64
 }
 
 // ClientSnapshot is a point-in-time view of one session, for tables
@@ -144,20 +133,21 @@ type ClientSnapshot struct {
 	BytesSent  int64
 	Drops      int64
 	QueueLen   int
-	Gauges     map[string]float64
 }
 
 // NewBroker builds a broker; Serve or ServeConn attach connections.
 func NewBroker(cfg Config) *Broker {
+	return newBroker(cfg, nil)
+}
+
+func newBroker(cfg Config, ln net.Listener) *Broker {
 	cfg = cfg.withDefaults()
 	b := &Broker{
-		cfg:       cfg,
-		cache:     NewEncodeCache(cfg.CacheFrames),
-		asm:       display.NewAssembler(),
-		log:       obs.NewLogger("broker"),
-		clients:   map[int]*client{},
-		renderers: map[int]*rendererPeer{},
-		traces:    map[uint32]*transport.TraceCtx{},
+		cfg:    cfg,
+		cache:  NewEncodeCache(cfg.CacheFrames),
+		asm:    display.NewAssembler(),
+		log:    obs.NewLogger("broker"),
+		traces: map[uint32]*transport.TraceCtx{},
 	}
 	if cfg.Logf != nil {
 		// Compatibility shim: Config.Logf routes the leveled component
@@ -171,6 +161,18 @@ func NewBroker(cfg Config) *Broker {
 		b.cache.SetGuard(b.gov.Account("encode-cache"), b.gov.CacheFillPaused)
 		b.gov.OnShed(b.shedNewest)
 	}
+	b.srv = transport.NewServer(ln, transport.Handler[*client]{
+		Log:     b.log,
+		Corrupt: &b.stats.CorruptDropped,
+		Admit:   b.admit,
+		Open:    b.open,
+		Handle:  b.handle,
+		Close: func(p *transport.Peer[*client]) {
+			if p.State != nil {
+				p.State.pacer.Close()
+			}
+		},
+	})
 	return b
 }
 
@@ -178,9 +180,7 @@ func NewBroker(cfg Config) *Broker {
 // watchdog's deadlock self-check: it completes instantly on a healthy
 // (even idle) broker and blocks when a lock holder is wedged.
 func (b *Broker) Probe() {
-	b.mu.Lock()
-	//lint:ignore SA2001 the probe is exactly acquire-then-release
-	b.mu.Unlock()
+	b.srv.Count(transport.RoleDisplay) // takes the peer-table lock
 	b.traceMu.Lock()
 	b.traceMu.Unlock()
 }
@@ -189,25 +189,20 @@ func (b *Broker) Probe() {
 // reporting whether one was found — the governor's last degradation
 // step. Relay clients are spared: they serve whole subtrees.
 func (b *Broker) shedNewest() bool {
-	b.mu.Lock()
-	var victim *client
-	for _, c := range b.clients {
-		if c.kind == transport.KindRelay {
-			continue
-		}
-		if victim == nil || c.id > victim.id {
-			victim = c
+	var victim *transport.Peer[*client]
+	for _, p := range b.srv.Peers(transport.RoleDisplay) {
+		if p.Kind != transport.KindRelay {
+			victim = p // Peers is ordered by ID: the last is the newest
 		}
 	}
-	b.mu.Unlock()
 	if victim == nil {
 		return false
 	}
 	b.stats.Shed.Add(1)
-	b.log.Warnf("guard: shedding newest display %d (%s) under memory pressure", victim.id, victim.remote)
+	b.log.Warnf("guard: shedding newest display %d (%s) under memory pressure", victim.ID, victim.Remote)
 	// Closing the conn unwinds the session through the normal
 	// disconnect path (reader errors, sender drains, pacer closes).
-	victim.conn.Close()
+	victim.Close()
 	return true
 }
 
@@ -218,23 +213,13 @@ func ListenAndServe(addr string, cfg Config) (*Broker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: listen %s: %w", addr, err)
 	}
-	b := NewBroker(cfg)
-	b.mu.Lock()
-	b.ln = ln
-	b.mu.Unlock()
+	b := newBroker(cfg, ln)
 	go func() { _ = b.Serve(ln) }()
 	return b, nil
 }
 
 // Addr returns the listen address (nil before Serve).
-func (b *Broker) Addr() net.Addr {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.ln == nil {
-		return nil
-	}
-	return b.ln.Addr()
-}
+func (b *Broker) Addr() net.Addr { return b.srv.Addr() }
 
 // Stats exposes the broker counters.
 func (b *Broker) Stats() *BrokerStats { return &b.stats }
@@ -265,8 +250,8 @@ func (b *Broker) SetControlForward(fn func(transport.Message)) {
 func (b *Broker) SetTracer(t *obs.Tracer) { b.tracer.Store(t) }
 
 // Instrument registers the broker's counters, encode/send-stage
-// histograms, and a per-client gauge collector on a metrics registry —
-// absorbing BrokerStats, the cache stats and the per-client GaugeSets
+// histograms, and a per-client series collector on a metrics registry —
+// absorbing BrokerStats, the cache stats and the session snapshots
 // behind one exposition endpoint. Safe to call while serving.
 func (b *Broker) Instrument(reg *obs.Registry) {
 	if reg == nil {
@@ -288,9 +273,7 @@ func (b *Broker) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("broker_cache_misses_total", "Encode fan-out cache misses.", cs.Misses.Load)
 	reg.CounterFunc("broker_cache_evictions_total", "Encode fan-out cache evictions.", cs.Evictions.Load)
 	reg.GaugeFunc("broker_clients", "Connected display sessions.", func() float64 {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return float64(len(b.clients))
+		return float64(b.srv.Count(transport.RoleDisplay))
 	})
 	b.encodeH.Store(reg.Histogram("broker_encode_seconds",
 		"Per-frame encode (or cache lookup) time in the client sender."))
@@ -299,90 +282,37 @@ func (b *Broker) Instrument(reg *obs.Registry) {
 	b.ifdH.Store(reg.Histogram("broker_interframe_delay_seconds",
 		"Delay between consecutive frames sent to any client."))
 	// Per-client sessions come and go; a collector re-emits their
-	// gauge sets with a client label at every scrape.
+	// series with a client label at every scrape.
 	reg.Collect(func(emit obs.Emit) {
-		for _, snap := range b.ClientSnapshots() {
+		for _, p := range b.srv.Peers(transport.RoleDisplay) {
+			c := p.State
+			snap := c.snapshot()
 			label := fmt.Sprintf(`{client="%d"}`, snap.ID)
 			emit("broker_client_frames_sent"+label, "Frames sent to this session.", "counter", float64(snap.FramesSent))
 			emit("broker_client_bytes_sent"+label, "Bytes sent to this session.", "counter", float64(snap.BytesSent))
 			emit("broker_client_drops"+label, "Frames dropped for this session.", "counter", float64(snap.Drops))
 			emit("broker_client_queue_len"+label, "Paced frames queued for this session.", "gauge", float64(snap.QueueLen))
-			for name, v := range snap.Gauges {
-				emit("broker_client_"+name+label, "Per-session gauge bridged from the stream GaugeSet.", "gauge", v)
-			}
+			emit("broker_client_bandwidth_Bps"+label, "Estimated link bandwidth to this session, bytes per second.", "gauge", snap.Bandwidth)
+			emit("broker_client_rtt_ms"+label, "Smoothed ack round-trip to this session.", "gauge", float64(snap.RTT)/float64(time.Millisecond))
+			emit("broker_client_quality"+label, "Quality of this session's current operating point.", "gauge", float64(snap.Point.Quality))
+			emit("broker_client_frame_bytes"+label, "Encoded size of the last frame for this session.", "gauge", float64(c.frameBytes.Load()))
+			emit("broker_client_cache_hit_rate"+label, "Encode cache hit rate.", "gauge", b.cache.Stats().HitRate())
 		}
 	})
 }
 
 // Serve accepts connections until the listener closes.
-func (b *Broker) Serve(ln net.Listener) error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		ln.Close()
-		return nil
-	}
-	b.ln = ln
-	b.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			b.mu.Lock()
-			closed := b.closed
-			b.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		b.ServeConn(conn)
-	}
-}
+func (b *Broker) Serve(ln net.Listener) error { return b.srv.Serve(ln) }
 
 // ServeConn runs the handshake and session for one pre-established
 // connection on a background goroutine — the hook experiments use to
 // wrap each accepted display connection in its own wan profile.
-func (b *Broker) ServeConn(conn net.Conn) {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		conn.Close()
-		return
-	}
-	b.wg.Add(1)
-	b.mu.Unlock()
-	go func() {
-		defer b.wg.Done()
-		b.handle(conn)
-	}()
-}
+func (b *Broker) ServeConn(conn net.Conn) { b.srv.ServeConn(conn) }
 
 // Close stops accepting, tears every session down, and waits for all
 // broker goroutines to exit.
 func (b *Broker) Close() error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return nil
-	}
-	b.closed = true
-	ln := b.ln
-	conns := make([]net.Conn, 0, len(b.clients)+len(b.renderers))
-	for _, c := range b.clients {
-		c.pacer.Close()
-		conns = append(conns, c.conn)
-	}
-	for _, r := range b.renderers {
-		conns = append(conns, r.conn)
-	}
-	b.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
+	err := b.srv.Close()
 	b.wg.Wait()
 	// Drain the encode cache so the governor's resident-bytes ledger
 	// returns to zero once every session has unwound.
@@ -390,84 +320,77 @@ func (b *Broker) Close() error {
 	return err
 }
 
-func (b *Broker) handle(conn net.Conn) {
-	defer conn.Close()
-	hello, err := transport.ReadMessage(conn)
-	if err != nil || hello.Type != transport.MsgHello {
-		b.log.Warnf("bad handshake from %v: %v", conn.RemoteAddr(), err)
-		return
+// admit applies the governor's admission control to displays;
+// displays is the number already connected.
+func (b *Broker) admit(role transport.Role, kind byte, displays int) (bool, time.Duration) {
+	if role != transport.RoleDisplay {
+		return true, 0
 	}
-	role, kind, err := transport.ParseHello(hello.Payload)
-	if err != nil {
-		b.log.Warnf("bad hello from %v: %v", conn.RemoteAddr(), err)
-		return
+	ok, retry := b.gov.Admit(kind == transport.KindRelay, displays)
+	if !ok {
+		b.stats.BusyRejected.Add(1)
 	}
-	switch role {
-	case transport.RoleRenderer:
-		b.handleRenderer(conn)
-	case transport.RoleDisplay:
-		b.handleDisplay(conn, kind)
-	default:
-		b.log.Warnf("unknown role %d", role)
-	}
+	return ok, retry
 }
 
-func (b *Broker) handleRenderer(conn net.Conn) {
-	r := &rendererPeer{conn: conn}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
+// open starts a display's session: estimator, controller, pacer and
+// the sender goroutine. Renderers get no session.
+func (b *Broker) open(p *transport.Peer[*client]) *client {
+	if p.Role == transport.RoleRenderer {
+		// A renderer (re)connecting may restart its frame-ID sequence
+		// from zero; a fresh cache generation keeps the previous
+		// sequence's entries from being served as this one's frames.
+		b.cache.BumpGeneration()
+		return nil
 	}
-	b.nextID++
-	r.id = b.nextID
-	b.renderers[r.id] = r
-	b.mu.Unlock()
-	// A renderer (re)connecting may restart its frame-ID sequence from
-	// zero; a fresh cache generation keeps the previous sequence's
-	// entries from being served as this one's frames.
-	b.cache.BumpGeneration()
-	defer func() {
-		b.mu.Lock()
-		delete(b.renderers, r.id)
-		b.mu.Unlock()
-		b.log.Infof("renderer %d disconnected", r.id)
+	c := &client{
+		peer:  p,
+		est:   NewEstimator(b.cfg.Alpha),
+		pacer: NewPacer(b.cfg.QueueDepth),
+		sent:  map[uint32]time.Time{},
+	}
+	c.ctrl = NewController(c.est, b.cfg.Target, b.cfg.Ladder, b.cfg.Alpha, b.cfg.UpHold)
+	if b.gov != nil {
+		c.pacer.SetGuard(b.pacerAcct, func() int { return b.gov.PacerDepth(b.cfg.QueueDepth) })
+	}
+	if adv := b.advertised.Load(); adv != nil {
+		c.ctrl.Restrict(*adv)
+	}
+	b.wg.Add(1)
+	go func() {
+		defer b.wg.Done()
+		b.sender(c)
 	}()
-	if err := transport.WriteMessage(conn, transport.Message{Type: transport.MsgHello, Payload: transport.HelloPayload(transport.RoleRenderer, transport.KindViewer)}); err != nil {
-		return
-	}
-	b.log.Infof("renderer %d connected from %v", r.id, conn.RemoteAddr())
-	remote := fmt.Sprint(conn.RemoteAddr())
-	for {
-		m, err := transport.ReadMessage(conn)
-		if err != nil {
-			if errors.Is(err, transport.ErrChecksum) {
-				// Stream stays frame-aligned past a CRC failure: drop the
-				// corrupt message and keep serving.
-				b.stats.CorruptDropped.Add(1)
-				b.log.Warnf("corrupt message from renderer %d dropped", r.id)
-				continue
-			}
+	return c
+}
+
+func (b *Broker) handle(p *transport.Peer[*client], m transport.Message) {
+	switch m.Type {
+	case transport.MsgImage:
+		if p.Role != transport.RoleRenderer {
 			return
 		}
-		switch m.Type {
-		case transport.MsgImage:
-			if tc := m.Trace; tc != nil {
-				b.prov.Load().Record(provenance.Event{
-					Trace: tc.TraceID, Frame: tc.FrameID, Hop: int(tc.Hop),
-					Event: provenance.EvReceived, Bytes: len(m.Payload), Link: remote,
-				})
-			}
-			b.ingest(m.Payload, m.Trace)
-		case transport.MsgAdvertise:
+		if tc := m.Trace; tc != nil {
+			b.prov.Load().Record(provenance.Event{
+				Trace: tc.TraceID, Frame: tc.FrameID, Hop: int(tc.Hop),
+				Event: provenance.EvReceived, Bytes: len(m.Payload), Link: p.Remote,
+			})
+		}
+		b.ingest(m.Payload, m.Trace)
+	case transport.MsgAdvertise:
+		if p.Role == transport.RoleRenderer {
 			b.setAdvertised(transport.UnmarshalAdvertise(m.Payload))
-		case transport.MsgPing:
-			// Liveness probe from a reconnect-capable server.
-			r.wmu.Lock()
-			_ = transport.WriteMessage(conn, transport.Message{Type: transport.MsgPong, Payload: m.Payload})
-			r.wmu.Unlock()
-		case transport.MsgBye:
+		}
+	case transport.MsgAck:
+		if p.Role != transport.RoleDisplay {
 			return
+		}
+		if ack, err := transport.UnmarshalAck(m.Payload); err == nil {
+			b.onAck(p.State, ack)
+		}
+	case transport.MsgControl:
+		if p.Role == transport.RoleDisplay {
+			b.routeToRenderers(m)
 		}
 	}
 }
@@ -478,15 +401,11 @@ func (b *Broker) setAdvertised(families []string) {
 	if len(families) == 0 {
 		return
 	}
-	b.mu.Lock()
-	b.advertised = families
-	clients := make([]*client, 0, len(b.clients))
-	for _, c := range b.clients {
-		clients = append(clients, c)
-	}
-	b.mu.Unlock()
-	for _, c := range clients {
-		c.ctrl.Restrict(families)
+	// Store before listing the sessions: one opened after the list is
+	// taken reads the new families in open.
+	b.advertised.Store(&families)
+	for _, p := range b.srv.Peers(transport.RoleDisplay) {
+		p.State.ctrl.Restrict(families)
 	}
 	b.log.Infof("renderer advertises %v", families)
 }
@@ -569,15 +488,9 @@ func (b *Broker) ingest(payload []byte, tc *transport.TraceCtx) (uint32, bool) {
 		sf.refs.Store(1)
 		b.framesAcct.Add(sf.Size())
 	}
-	b.mu.Lock()
-	clients := make([]*client, 0, len(b.clients))
-	for _, c := range b.clients {
-		clients = append(clients, c)
-	}
-	b.mu.Unlock()
-	for _, c := range clients {
+	for _, p := range b.srv.Peers(transport.RoleDisplay) {
 		sf.retain()
-		accepted, dropped := c.pacer.Offer(sf)
+		accepted, dropped := p.State.pacer.Offer(sf)
 		if !accepted {
 			sf.release()
 		}
@@ -596,88 +509,6 @@ func (b *Broker) ingest(payload []byte, tc *transport.TraceCtx) (uint32, bool) {
 	return fr.ID, true
 }
 
-func (b *Broker) handleDisplay(conn net.Conn, kind byte) {
-	c := &client{
-		kind:   kind,
-		conn:   conn,
-		est:    NewEstimator(b.cfg.Alpha),
-		pacer:  NewPacer(b.cfg.QueueDepth),
-		gauges: metrics.NewGaugeSet(),
-		sent:   map[uint32]time.Time{},
-	}
-	if ra := conn.RemoteAddr(); ra != nil {
-		c.remote = ra.String()
-	}
-	c.ctrl = NewController(c.est, b.cfg.Target, b.cfg.Ladder, b.cfg.Alpha, b.cfg.UpHold)
-	if b.gov != nil {
-		c.pacer.SetGuard(b.pacerAcct, func() int { return b.gov.PacerDepth(b.cfg.QueueDepth) })
-	}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	if ok, retry := b.gov.Admit(kind == transport.KindRelay, len(b.clients)); !ok {
-		b.mu.Unlock()
-		b.stats.BusyRejected.Add(1)
-		b.log.Warnf("display from %v refused by admission control (retry after %v)", conn.RemoteAddr(), retry)
-		_ = transport.WriteMessage(conn, transport.Message{Type: transport.MsgBusy, Payload: transport.MarshalBusy(retry, "over budget")})
-		return
-	}
-	b.nextID++
-	c.id = b.nextID
-	b.clients[c.id] = c
-	advertised := b.advertised
-	b.mu.Unlock()
-	if len(advertised) > 0 {
-		c.ctrl.Restrict(advertised)
-	}
-	defer func() {
-		b.mu.Lock()
-		delete(b.clients, c.id)
-		b.mu.Unlock()
-		c.pacer.Close()
-		b.log.Infof("display %d disconnected", c.id)
-	}()
-	if err := transport.WriteMessage(conn, transport.Message{Type: transport.MsgHello, Payload: transport.HelloPayload(transport.RoleDisplay, transport.KindViewer)}); err != nil {
-		return
-	}
-	b.log.Infof("display %d connected from %v", c.id, c.remote)
-
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		b.sender(c)
-	}()
-
-	for {
-		m, err := transport.ReadMessage(conn)
-		if err != nil {
-			if errors.Is(err, transport.ErrChecksum) {
-				b.stats.CorruptDropped.Add(1)
-				b.log.Warnf("corrupt message from display %d dropped", c.id)
-				continue
-			}
-			return
-		}
-		switch m.Type {
-		case transport.MsgAck:
-			if ack, err := transport.UnmarshalAck(m.Payload); err == nil {
-				b.onAck(c, ack)
-			}
-		case transport.MsgControl:
-			b.routeToRenderers(m)
-		case transport.MsgPing:
-			// Liveness probe from a reconnect-capable viewer.
-			c.wmu.Lock()
-			_ = transport.WriteMessage(conn, transport.Message{Type: transport.MsgPong, Payload: m.Payload})
-			c.wmu.Unlock()
-		case transport.MsgBye:
-			return
-		}
-	}
-}
-
 // onAck matches the display's receive report to the broker's send
 // timestamp and feeds the round trip to the client's estimator.
 func (b *Broker) onAck(c *client, ack *transport.AckMsg) {
@@ -690,9 +521,7 @@ func (b *Broker) onAck(c *client, ack *transport.AckMsg) {
 	if !ok {
 		return
 	}
-	rtt := time.Since(t0)
-	c.est.ObserveRTT(rtt)
-	c.gauges.Set("rtt_ms", float64(rtt)/float64(time.Millisecond))
+	c.est.ObserveRTT(time.Since(t0))
 }
 
 // routeToRenderers relays a user-control message to every renderer and
@@ -702,17 +531,8 @@ func (b *Broker) routeToRenderers(m transport.Message) {
 		(*fn)(m)
 		b.stats.ControlsRouted.Add(1)
 	}
-	b.mu.Lock()
-	rends := make([]*rendererPeer, 0, len(b.renderers))
-	for _, r := range b.renderers {
-		rends = append(rends, r)
-	}
-	b.mu.Unlock()
-	for _, r := range rends {
-		r.wmu.Lock()
-		err := transport.WriteMessage(r.conn, m)
-		r.wmu.Unlock()
-		if err == nil {
+	for _, r := range b.srv.Peers(transport.RoleRenderer) {
+		if r.Send(m) == nil {
 			b.stats.ControlsRouted.Add(1)
 		}
 	}
@@ -722,7 +542,7 @@ func (b *Broker) routeToRenderers(m transport.Message) {
 // operating point → encode-once-per-point via the cache → timed write
 // feeding the bandwidth estimator.
 func (b *Broker) sender(c *client) {
-	track := fmt.Sprintf("client %d", c.id)
+	track := fmt.Sprintf("client %d", c.peer.ID)
 	// On exit (write error or broker close) drain the pacer so every
 	// queued frame's budget charge is refunded: the read loop's defer
 	// closes the pacer once the conn errors, which unblocks Next here.
@@ -751,7 +571,7 @@ func (b *Broker) sender(c *client) {
 			c.ctrl.SetFloor(b.gov.QualityFloor(c.ctrl.LadderLen()))
 		}
 		point := c.ctrl.Pick()
-		if c.est.Samples() == 0 && c.kind == transport.KindViewer {
+		if c.est.Samples() == 0 && c.peer.Kind == transport.KindViewer {
 			// Cold start: no bandwidth evidence yet, and this could be a
 			// 45 KB/s transoceanic path. Ship the cheapest rung (the
 			// progressive preview on the default ladder) as a probe —
@@ -802,6 +622,7 @@ func (b *Broker) sender(c *client) {
 			})
 		}
 		c.ctrl.ObserveSize(point, len(data))
+		c.frameBytes.Store(int64(len(data)))
 		// A full progressive frame goes out in two writes — the
 		// standalone preview pass, then the refinement tail — so the
 		// viewer paints a usable image from the first bytes and
@@ -810,7 +631,7 @@ func (b *Broker) sender(c *client) {
 		// and they re-encode per downstream link anyway.
 		chunks := [...][]byte{data, nil}
 		nchunks := 1
-		if point.Codec == "prog" && point.Passes == 0 && c.kind != transport.KindRelay {
+		if point.Codec == "prog" && point.Passes == 0 && c.peer.Kind != transport.KindRelay {
 			if head, tail, ok := prog.SplitPreview(data); ok {
 				chunks[0], chunks[1] = head, tail
 				nchunks = 2
@@ -840,7 +661,7 @@ func (b *Broker) sender(c *client) {
 				Codec: point.Family(),
 				Data:  chunks[ci],
 			}
-			// Reuse the sender's scratch: WriteMessage below completes
+			// Reuse the sender's scratch: Send below completes
 			// before the next chunk rewrites it.
 			payload, err := im.AppendTo(c.marshalBuf[:0])
 			if err != nil {
@@ -858,12 +679,10 @@ func (b *Broker) sender(c *client) {
 			}
 			t0 := time.Now()
 			endSend := tr.Begin(track, "stream", "send", "frame", sf.ID, "bytes", len(payload))
-			c.wmu.Lock()
-			err = transport.WriteMessage(c.conn, out)
-			c.wmu.Unlock()
+			err = c.peer.Send(out)
 			endSend()
 			if err != nil {
-				c.conn.Close()
+				c.peer.Close()
 				return
 			}
 			sendTime += time.Since(t0)
@@ -875,7 +694,7 @@ func (b *Broker) sender(c *client) {
 		if tc != nil {
 			b.prov.Load().Record(provenance.Event{
 				Trace: tc.TraceID, Frame: tc.FrameID, Hop: int(tc.Hop),
-				Event: provenance.EvSent, Bytes: totalSent, Link: c.remote,
+				Event: provenance.EvSent, Bytes: totalSent, Link: c.peer.Remote,
 			})
 		}
 		b.sendH.Load().ObserveDuration(sendTime)
@@ -888,12 +707,6 @@ func (b *Broker) sender(c *client) {
 		c.bytesSent.Add(int64(totalSent))
 		b.stats.FramesOut.Add(1)
 		b.stats.BytesOut.Add(int64(totalSent))
-		c.gauges.Set("bandwidth_Bps", c.est.Bandwidth())
-		c.gauges.Set("quality", float64(point.Quality))
-		c.gauges.Set("frame_bytes", float64(len(data)))
-		c.gauges.Set("drops", float64(c.pacer.Drops()))
-		c.gauges.Set("queue_len", float64(c.pacer.Len()))
-		c.gauges.Set("cache_hit_rate", b.cache.Stats().HitRate())
 	}
 }
 
@@ -904,52 +717,35 @@ func (b *Broker) sender(c *client) {
 // again — so it is invalidated rather than left squatting in the
 // bounded frame window until frame-age eviction.
 func (b *Broker) notePointChange(c *client, old Point, frameID uint32) {
-	b.mu.Lock()
-	inUse := false
-	for _, o := range b.clients {
-		if o != c && o.ctrl.Current() == old {
-			inUse = true
-			break
+	for _, o := range b.srv.Peers(transport.RoleDisplay) {
+		if o.State != c && o.State.ctrl.Current() == old {
+			return
 		}
 	}
-	b.mu.Unlock()
-	if !inUse {
-		b.cache.Invalidate(frameID, old)
-	}
+	b.cache.Invalidate(frameID, old)
 }
 
 // ClientSnapshots returns a stable view of every connected session,
 // ordered by session ID.
 func (b *Broker) ClientSnapshots() []ClientSnapshot {
-	b.mu.Lock()
-	clients := make([]*client, 0, len(b.clients))
-	for _, c := range b.clients {
-		clients = append(clients, c)
+	peers := b.srv.Peers(transport.RoleDisplay)
+	out := make([]ClientSnapshot, 0, len(peers))
+	for _, p := range peers {
+		out = append(out, p.State.snapshot())
 	}
-	b.mu.Unlock()
-	out := make([]ClientSnapshot, 0, len(clients))
-	for _, c := range clients {
-		out = append(out, ClientSnapshot{
-			ID:         c.id,
-			Remote:     c.remote,
-			Point:      c.ctrl.Current(),
-			Bandwidth:  c.est.Bandwidth(),
-			RTT:        c.est.RTT(),
-			FramesSent: c.framesSent.Load(),
-			BytesSent:  c.bytesSent.Load(),
-			Drops:      c.pacer.Drops(),
-			QueueLen:   c.pacer.Len(),
-			Gauges:     c.gauges.Snapshot(),
-		})
-	}
-	sortSnapshots(out)
 	return out
 }
 
-func sortSnapshots(s []ClientSnapshot) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1].ID > s[j].ID; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
+func (c *client) snapshot() ClientSnapshot {
+	return ClientSnapshot{
+		ID:         c.peer.ID,
+		Remote:     c.peer.Remote,
+		Point:      c.ctrl.Current(),
+		Bandwidth:  c.est.Bandwidth(),
+		RTT:        c.est.RTT(),
+		FramesSent: c.framesSent.Load(),
+		BytesSent:  c.bytesSent.Load(),
+		Drops:      c.pacer.Drops(),
+		QueueLen:   c.pacer.Len(),
 	}
 }

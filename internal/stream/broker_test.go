@@ -319,10 +319,22 @@ func TestBrokerCloseLeaksNoGoroutines(t *testing.T) {
 		eps = append(eps, pipeConn(t, b, transport.RoleDisplay, wan.Profile{}))
 	}
 	rend := pipeConn(t, b, transport.RoleRenderer, wan.Profile{})
+	// A half-open connection that never sends its hello must not keep
+	// Close waiting.
+	halfOpen, silent := net.Pipe()
+	defer silent.Close()
+	b.ServeConn(halfOpen)
 	sendFrames(t, rend, noiseFrame(16, 16), 3, 0)
 	time.Sleep(50 * time.Millisecond)
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked on a connection that never sent a hello")
 	}
 	for _, ep := range eps {
 		ep.Close()

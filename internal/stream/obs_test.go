@@ -73,6 +73,18 @@ func TestBrokerInstrumentAndTrace(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, expo.String())
 		}
 	}
+	// Every series (name plus labels) is exposed once per scrape.
+	seen := map[string]bool{}
+	for _, line := range strings.Split(expo.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := line[:strings.LastIndexByte(line, ' ')]
+		if seen[series] {
+			t.Fatalf("series %s exposed twice:\n%s", series, expo.String())
+		}
+		seen[series] = true
+	}
 
 	spans := map[string]int{}
 	for _, sp := range tr.Spans() {

@@ -1,11 +1,9 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,18 +27,12 @@ import (
 // when silent past the dead-peer timeout, and per-peer health is
 // observable via Health.
 type Daemon struct {
-	mu        sync.Mutex
-	ln        net.Listener
-	renderers map[int]*peer
-	displays  map[int]*peer
-	nextID    int
-	closed    bool
+	ln  net.Listener
+	srv *Server[outbox]
 
-	// conns tracks every accepted connection from before the
-	// handshake completes until its handler exits, so Close can
-	// unblock handlers still waiting for a hello (otherwise a
-	// half-open connection would leak its goroutine past Close).
-	conns map[net.Conn]struct{}
+	mu sync.Mutex
+	// closed keeps SetHeartbeat from starting a monitor after Close.
+	closed bool
 
 	// bufferFrames is the per-display image buffer depth, read from
 	// per-connection goroutines, so it lives behind mu and is set via
@@ -66,7 +58,8 @@ type Daemon struct {
 
 	log   *obs.Logger
 	stats DaemonStats
-	wg    sync.WaitGroup
+	// wg tracks the heartbeat and the per-peer writers.
+	wg sync.WaitGroup
 }
 
 // DaemonStats counts daemon activity.
@@ -87,21 +80,11 @@ type DaemonStats struct {
 	PingsSent atomic.Int64
 }
 
-type peer struct {
-	id     int
-	role   Role
-	conn   net.Conn
-	remote string
-	out    chan Message
-	done   chan struct{}
-
-	// lastSeen is the wall-clock nanos of the most recent inbound
-	// message; rttNS the last heartbeat round-trip.
-	lastSeen atomic.Int64
-	rttNS    atomic.Int64
-	// evicted marks a peer closed by the heartbeat monitor, for the
-	// disconnect log line.
-	evicted atomic.Bool
+// outbox is a daemon peer's outbound queue, drained by its writer
+// goroutine until done closes.
+type outbox struct {
+	out  chan Message
+	done chan struct{}
 }
 
 // PeerHealth is one peer's liveness snapshot, as served under
@@ -122,14 +105,19 @@ type PeerHealth struct {
 // NewDaemon starts a daemon on the listener. Callers own the
 // listener's address; Serve runs until Close.
 func NewDaemon(ln net.Listener) *Daemon {
-	return &Daemon{
+	d := &Daemon{
 		ln:           ln,
-		renderers:    map[int]*peer{},
-		displays:     map[int]*peer{},
-		conns:        map[net.Conn]struct{}{},
 		bufferFrames: 8,
 		log:          obs.NewLogger("daemon"),
 	}
+	d.srv = NewServer(ln, Handler[outbox]{
+		Log:     d.log,
+		Corrupt: &d.stats.CorruptDropped,
+		Open:    d.open,
+		Handle:  d.handle,
+		Close:   func(p *Peer[outbox]) { close(p.State.done) },
+	})
+	return d
 }
 
 // Addr returns the daemon's listen address.
@@ -185,37 +173,22 @@ func (d *Daemon) heartbeat(interval, timeout time.Duration, stop chan struct{}) 
 		case <-tick.C:
 		}
 		now := time.Now()
-		for _, p := range d.peers() {
-			if silence := now.Sub(time.Unix(0, p.lastSeen.Load())); silence > timeout {
-				p.evicted.Store(true)
+		for _, p := range d.srv.Peers(0) {
+			if silence := now.Sub(p.LastSeen()); silence > timeout {
 				d.stats.PeersEvicted.Add(1)
-				d.log.Warnf("%s %d silent for %v, evicting", p.role, p.id, silence.Round(time.Millisecond))
-				p.conn.Close()
+				d.log.Warnf("%s %d silent for %v, evicting", p.Role, p.ID, silence.Round(time.Millisecond))
+				p.Evict()
 				continue
 			}
 			// Best-effort probe: a full outbound queue means the peer
 			// link is busy; the pong would be stale anyway.
 			select {
-			case p.out <- Message{Type: MsgPing, Payload: MarshalPing(now.UnixNano())}:
+			case p.State.out <- Message{Type: MsgPing, Payload: MarshalPing(now.UnixNano())}:
 				d.stats.PingsSent.Add(1)
 			default:
 			}
 		}
 	}
-}
-
-// peers snapshots all connected peers.
-func (d *Daemon) peers() []*peer {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]*peer, 0, len(d.renderers)+len(d.displays))
-	for _, p := range d.renderers {
-		out = append(out, p)
-	}
-	for _, p := range d.displays {
-		out = append(out, p)
-	}
-	return out
 }
 
 // Health snapshots every peer's liveness state, ordered by peer id.
@@ -226,18 +199,17 @@ func (d *Daemon) Health() []PeerHealth {
 	d.mu.Unlock()
 	now := time.Now()
 	var out []PeerHealth
-	for _, p := range d.peers() {
-		silence := now.Sub(time.Unix(0, p.lastSeen.Load()))
+	for _, p := range d.srv.Peers(0) {
+		silence := now.Sub(p.LastSeen())
 		out = append(out, PeerHealth{
-			ID:              p.id,
-			Role:            p.role.String(),
-			Remote:          p.remote,
+			ID:              p.ID,
+			Role:            p.Role.String(),
+			Remote:          p.Remote,
 			SinceLastSeenMS: float64(silence) / float64(time.Millisecond),
-			RTTMS:           float64(p.rttNS.Load()) / float64(time.Millisecond),
+			RTTMS:           float64(p.RTT()) / float64(time.Millisecond),
 			Healthy:         !hbOn || silence <= timeout,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -282,14 +254,10 @@ func (d *Daemon) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("daemon_pings_sent_total",
 		"Heartbeat probes enqueued to peers.", st.PingsSent.Load)
 	reg.GaugeFunc("daemon_displays", "Connected display clients.", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(len(d.displays))
+		return float64(d.srv.Count(RoleDisplay))
 	})
 	reg.GaugeFunc("daemon_renderers", "Connected renderer peers.", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(len(d.renderers))
+		return float64(d.srv.Count(RoleRenderer))
 	})
 	ifd := reg.Histogram("daemon_interframe_delay_seconds",
 		"Delay between consecutive frames forwarded to displays.")
@@ -301,208 +269,81 @@ func (d *Daemon) Instrument(reg *obs.Registry) {
 
 // Serve accepts connections until the listener closes. Run it on its
 // own goroutine.
-func (d *Daemon) Serve() error {
-	for {
-		conn, err := d.ln.Accept()
-		if err != nil {
-			d.mu.Lock()
-			closed := d.closed
-			d.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		d.ServeConn(conn)
-	}
-}
+func (d *Daemon) Serve() error { return d.srv.Serve(d.ln) }
 
 // ServeConn runs the handshake and forwarding loop for one
 // pre-established connection on a background goroutine. Tests and
 // experiments use it to wrap individual accepted connections in
 // per-client wan shaping before the daemon writes to them.
-func (d *Daemon) ServeConn(conn net.Conn) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		conn.Close()
-		return
-	}
-	d.conns[conn] = struct{}{}
-	d.wg.Add(1)
-	d.mu.Unlock()
-	go func() {
-		defer d.wg.Done()
-		defer func() {
-			d.mu.Lock()
-			delete(d.conns, conn)
-			d.mu.Unlock()
-		}()
-		d.handle(conn)
-	}()
-}
+func (d *Daemon) ServeConn(conn net.Conn) { d.srv.ServeConn(conn) }
 
 // Close stops accepting, disconnects all peers (including connections
 // still mid-handshake) and waits for every handler goroutine.
 func (d *Daemon) Close() error {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil
-	}
 	d.closed = true
-	conns := make([]net.Conn, 0, len(d.conns))
-	for c := range d.conns {
-		conns = append(conns, c)
-	}
 	if d.hbStop != nil {
 		close(d.hbStop)
 		d.hbStop = nil
 	}
 	d.mu.Unlock()
-	err := d.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
+	err := d.srv.Close()
 	d.wg.Wait()
 	return err
 }
 
-func (d *Daemon) handle(conn net.Conn) {
-	defer conn.Close()
-	hello, err := ReadMessage(conn)
-	if err != nil || hello.Type != MsgHello {
-		d.log.Warnf("bad handshake from %v: %v", conn.RemoteAddr(), err)
-		return
-	}
-	role, _, err := ParseHello(hello.Payload)
-	if err != nil {
-		d.log.Warnf("bad hello from %v: %v", conn.RemoteAddr(), err)
-		return
-	}
-	if role != RoleRenderer && role != RoleDisplay {
-		d.log.Warnf("unknown role %d", role)
-		return
-	}
+// open gives a new peer its outbound queue and starts the writer that
+// drains it.
+func (d *Daemon) open(p *Peer[outbox]) outbox {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
-	}
-	p := &peer{
-		role:   role,
-		conn:   conn,
-		remote: fmt.Sprint(conn.RemoteAddr()),
-		out:    make(chan Message, 4*d.bufferFrames),
-		done:   make(chan struct{}),
-	}
-	p.lastSeen.Store(time.Now().UnixNano())
-	d.nextID++
-	p.id = d.nextID
-	if role == RoleRenderer {
-		d.renderers[p.id] = p
-	} else {
-		d.displays[p.id] = p
-	}
+	q := outbox{out: make(chan Message, 4*d.bufferFrames), done: make(chan struct{})}
 	d.mu.Unlock()
-	d.log.Infof("%s %d connected from %v", role, p.id, conn.RemoteAddr())
-
-	// Welcome ack: the peer's Dial blocks until registration is
-	// complete, so frames sent right after connecting cannot race past
-	// a display that is still registering.
-	if err := WriteMessage(conn, Message{Type: MsgHello, Payload: HelloPayload(role, KindViewer)}); err != nil {
-		d.mu.Lock()
-		delete(d.renderers, p.id)
-		delete(d.displays, p.id)
-		d.mu.Unlock()
-		close(p.done)
-		return
-	}
-
-	defer func() {
-		d.mu.Lock()
-		delete(d.renderers, p.id)
-		delete(d.displays, p.id)
-		d.mu.Unlock()
-		close(p.done)
-		if p.evicted.Load() {
-			d.log.Infof("%s %d evicted", role, p.id)
-		} else {
-			d.log.Infof("%s %d disconnected", role, p.id)
-		}
-	}()
-
-	// Writer drains the outbound queue.
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
 		for {
 			select {
-			case m := <-p.out:
-				if err := WriteMessage(conn, m); err != nil {
-					conn.Close()
+			case m := <-q.out:
+				if err := p.Send(m); err != nil {
+					p.Close()
 					return
 				}
-			case <-p.done:
+			case <-q.done:
 				return
 			}
 		}
 	}()
+	return q
+}
 
-	for {
-		m, err := ReadMessage(conn)
-		if err != nil {
-			if errors.Is(err, ErrChecksum) {
-				// The stream is still frame-aligned: drop the corrupt
-				// message so it is never forwarded, and keep serving.
-				d.stats.CorruptDropped.Add(1)
-				d.log.Warnf("corrupt message from %s %d dropped", role, p.id)
-				continue
-			}
-			d.log.Infof("read from %s %d: %v", role, p.id, err)
+func (d *Daemon) handle(p *Peer[outbox], m Message) {
+	switch m.Type {
+	case MsgImage:
+		if p.Role != RoleRenderer {
+			d.log.Warnf("image from display %d ignored", p.ID)
 			return
 		}
-		p.lastSeen.Store(time.Now().UnixNano())
-		switch m.Type {
-		case MsgImage:
-			if role != RoleRenderer {
-				d.log.Warnf("image from display %d ignored", p.id)
-				continue
-			}
-			if tc := m.Trace; tc != nil {
-				d.prov.Load().Record(provenance.Event{
-					Trace: tc.TraceID, Frame: tc.FrameID, Hop: int(tc.Hop),
-					Event: provenance.EvReceived, Bytes: len(m.Payload), Link: p.remote,
-				})
-			}
-			d.forwardToDisplays(m)
-		case MsgControl:
-			if role != RoleDisplay {
-				d.log.Warnf("control from renderer %d ignored", p.id)
-				continue
-			}
-			d.routeToRenderers(m)
-		case MsgAck:
-			// Display receive reports: the plain daemon has no
-			// adaptive layer to feed, so it just counts them.
-			d.stats.AcksReceived.Add(1)
-		case MsgAdvertise:
-			// Codec advertisements matter to the stream broker only.
-		case MsgPing:
-			// Answer the peer's liveness probe, echoing its payload.
-			select {
-			case p.out <- Message{Type: MsgPong, Payload: m.Payload}:
-			default:
-			}
-		case MsgPong:
-			if sent, err := UnmarshalPing(m.Payload); err == nil {
-				p.rttNS.Store(time.Now().UnixNano() - sent)
-			}
-		case MsgBye:
-			return
-		default:
-			d.log.Warnf("unknown message type %d from %s %d", m.Type, role, p.id)
+		if tc := m.Trace; tc != nil {
+			d.prov.Load().Record(provenance.Event{
+				Trace: tc.TraceID, Frame: tc.FrameID, Hop: int(tc.Hop),
+				Event: provenance.EvReceived, Bytes: len(m.Payload), Link: p.Remote,
+			})
 		}
+		d.forwardToDisplays(m)
+	case MsgControl:
+		if p.Role != RoleDisplay {
+			d.log.Warnf("control from renderer %d ignored", p.ID)
+			return
+		}
+		d.routeToRenderers(m)
+	case MsgAck:
+		// Display receive reports: the plain daemon has no
+		// adaptive layer to feed, so it just counts them.
+		d.stats.AcksReceived.Add(1)
+	case MsgAdvertise:
+		// Codec advertisements matter to the stream broker only.
+	default:
+		d.log.Warnf("unknown message type %d from %s %d", m.Type, p.Role, p.ID)
 	}
 }
 
@@ -520,13 +361,9 @@ func (d *Daemon) forwardToDisplays(m Message) {
 			Event: provenance.EvRelayed, Bytes: len(m.Payload),
 		})
 	}
+	targets := d.srv.Peers(RoleDisplay)
 	d.mu.Lock()
-	targets := make([]*peer, 0, len(d.displays))
-	for _, p := range d.displays {
-		targets = append(targets, p)
-	}
-	ifd := d.ifd
-	if ifd != nil {
+	if ifd := d.ifd; ifd != nil {
 		now := time.Now()
 		if !d.lastForward.IsZero() {
 			ifd.ObserveDuration(now.Sub(d.lastForward))
@@ -537,13 +374,13 @@ func (d *Daemon) forwardToDisplays(m Message) {
 	for _, p := range targets {
 		for {
 			select {
-			case p.out <- m:
+			case p.State.out <- m:
 				d.stats.ImagesForwarded.Add(1)
 				d.stats.BytesForwarded.Add(int64(len(m.Payload)))
 			default:
 				// Buffer full: drop the oldest and retry.
 				select {
-				case dropped := <-p.out:
+				case dropped := <-p.State.out:
 					d.stats.ImagesDropped.Add(1)
 					if tc := dropped.Trace; tc != nil {
 						prov.Record(provenance.Event{
@@ -563,17 +400,11 @@ func (d *Daemon) forwardToDisplays(m Message) {
 // routeToRenderers passes a control message to every renderer — the
 // "remote callback" path.
 func (d *Daemon) routeToRenderers(m Message) {
-	d.mu.Lock()
-	targets := make([]*peer, 0, len(d.renderers))
-	for _, p := range d.renderers {
-		targets = append(targets, p)
-	}
-	d.mu.Unlock()
-	for _, p := range targets {
+	for _, p := range d.srv.Peers(RoleRenderer) {
 		select {
-		case p.out <- m:
+		case p.State.out <- m:
 			d.stats.ControlsRouted.Add(1)
-		case <-p.done:
+		case <-p.State.done:
 		}
 	}
 }

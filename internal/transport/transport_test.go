@@ -529,8 +529,20 @@ func TestDaemonCloseLeaksNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
+	// A half-open connection that never sends its hello must not keep
+	// Close waiting.
+	halfOpen, silent := net.Pipe()
+	defer silent.Close()
+	d.ServeConn(halfOpen)
+	closed := make(chan error, 1)
+	go func() { closed <- d.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked on a connection that never sent a hello")
 	}
 	for _, e := range eps {
 		e.Close()

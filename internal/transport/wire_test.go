@@ -56,9 +56,9 @@ func roundTrip(t *testing.T, msgs []Message) {
 	}
 }
 
-// TestFramerV2RoundTrip: untraced image payloads of every size class,
+// TestUntracedRoundTrip: untraced image payloads of every size class,
 // empty included, read back intact.
-func TestFramerV2RoundTrip(t *testing.T) {
+func TestUntracedRoundTrip(t *testing.T) {
 	roundTrip(t, []Message{
 		{Type: MsgImage},
 		{Type: MsgImage, Payload: []byte{0}},
@@ -67,9 +67,9 @@ func TestFramerV2RoundTrip(t *testing.T) {
 	})
 }
 
-// TestFramerV3TraceRoundTrip: traced and untraced messages share one
+// TestTracedRoundTrip: traced and untraced messages share one
 // stream, and each trace block survives the write/read cycle intact.
-func TestFramerV3TraceRoundTrip(t *testing.T) {
+func TestTracedRoundTrip(t *testing.T) {
 	roundTrip(t, []Message{
 		{Type: MsgImage, Payload: bytes.Repeat([]byte{7}, 500),
 			Trace: &TraceCtx{TraceID: 0xDEADBEEFCAFE, FrameID: 1293, Hop: 3, OriginUnixNano: 1_700_000_000_123_456_789}},
@@ -105,18 +105,18 @@ func checkCorruptionDetected(t *testing.T, trace *TraceCtx, corrupt func(wire []
 	}
 }
 
-func TestFramerV2DetectsCorruptionAndRealigns(t *testing.T) {
+func TestReadMessageDetectsCorruptionAndRealigns(t *testing.T) {
 	checkCorruptionDetected(t, nil, func(w []byte) { w[6+3] ^= 0xFF })
 }
 
-// TestFramerV2DetectsTypeFlip: the type byte is covered by the CRC too.
-func TestFramerV2DetectsTypeFlip(t *testing.T) {
+// TestReadMessageDetectsTypeFlip: the type byte is covered by the CRC too.
+func TestReadMessageDetectsTypeFlip(t *testing.T) {
 	checkCorruptionDetected(t, nil, func(w []byte) { w[4] ^= 0xFF })
 }
 
-// TestFramerV3TraceCoveredByCRC: the trace block is load-bearing
+// TestTraceBlockCoveredByCRC: the trace block is load-bearing
 // routing metadata, not an unprotected annex.
-func TestFramerV3TraceCoveredByCRC(t *testing.T) {
+func TestTraceBlockCoveredByCRC(t *testing.T) {
 	checkCorruptionDetected(t, &TraceCtx{TraceID: 5, FrameID: 6, Hop: 1}, func(w []byte) { w[6] ^= 0xFF })
 }
 
@@ -130,9 +130,9 @@ func TestReadMessageChecksCRCWithFlagCleared(t *testing.T) {
 	})
 }
 
-// TestParseHelloLegacyAndV2: a one-byte hello is a viewer, a second
+// TestParseHelloRoleAndKind: a one-byte hello is a viewer, a second
 // byte names the client kind, and an empty hello is refused.
-func TestParseHelloLegacyAndV2(t *testing.T) {
+func TestParseHelloRoleAndKind(t *testing.T) {
 	if role, kind, err := ParseHello(HelloPayload(RoleDisplay, KindViewer)); err != nil || role != RoleDisplay || kind != KindViewer {
 		t.Fatalf("viewer hello = (%v,%d,%v)", role, kind, err)
 	}
@@ -144,9 +144,9 @@ func TestParseHelloLegacyAndV2(t *testing.T) {
 	}
 }
 
-// TestEndpointNegotiatesV2: a dialed endpoint is registered and healthy
+// TestEndpointRegisteredAfterHandshake: a dialed endpoint is registered and healthy
 // once the handshake returns.
-func TestEndpointNegotiatesV2(t *testing.T) {
+func TestEndpointRegisteredAfterHandshake(t *testing.T) {
 	d, err := ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestEndpointPingMeasuresRTT(t *testing.T) {
 	}
 }
 
-func TestDaemonEvictsSilentV2Peer(t *testing.T) {
+func TestDaemonEvictsSilentPeer(t *testing.T) {
 	d, err := ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -403,13 +403,13 @@ func checkFrameLayout(t *testing.T, trace *TraceCtx, wantLen int, wantFlags byte
 	}
 }
 
-// TestV2HeaderLayout pins the untraced frame at 6 + n + 4 bytes.
-func TestV2HeaderLayout(t *testing.T) {
+// TestUntracedFrameLayout pins the untraced frame at 6 + n + 4 bytes.
+func TestUntracedFrameLayout(t *testing.T) {
 	checkFrameLayout(t, nil, 6+1+4, flagCRC)
 }
 
-// TestV3HeaderLayout pins the traced frame at 6 + 21 + n + 4 bytes.
-func TestV3HeaderLayout(t *testing.T) {
+// TestTracedFrameLayout pins the traced frame at 6 + 21 + n + 4 bytes.
+func TestTracedFrameLayout(t *testing.T) {
 	checkFrameLayout(t, &TraceCtx{TraceID: 0x0102030405060708, FrameID: 0x0A0B0C0D, Hop: 2, OriginUnixNano: 1},
 		6+21+1+4, flagCRC|flagTrace)
 }
