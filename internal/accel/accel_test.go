@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/vol"
 )
 
@@ -80,35 +81,173 @@ func TestRangeOutside(t *testing.T) {
 	}
 }
 
-func TestCellExitAdvances(t *testing.T) {
-	v := vol.MustNew(vol.Dims{NX: 32, NY: 32, NZ: 32})
-	g, err := Build(v, [3]int{0, 0, 0}, ident, 8)
+// scatterBuild is the original per-point build, kept as the reference
+// the row scan must reproduce: every grid point is normalized and
+// scattered into each cell whose interpolation support contains it.
+func scatterBuild(v *vol.Volume, normalize func(float32) float32, cellSize int) (minv, maxv []float32) {
+	nx := (v.Dims.NX + cellSize - 1) / cellSize
+	ny := (v.Dims.NY + cellSize - 1) / cellSize
+	nz := (v.Dims.NZ + cellSize - 1) / cellSize
+	minv = make([]float32, nx*ny*nz)
+	maxv = make([]float32, nx*ny*nz)
+	for i := range minv {
+		minv[i] = float32(math.Inf(1))
+		maxv[i] = float32(math.Inf(-1))
+	}
+	for z := 0; z < v.Dims.NZ; z++ {
+		for y := 0; y < v.Dims.NY; y++ {
+			for x := 0; x < v.Dims.NX; x++ {
+				val := normalize(v.At(x, y, z))
+				cx0, cx1 := cellRange(x, cellSize, nx)
+				cy0, cy1 := cellRange(y, cellSize, ny)
+				cz0, cz1 := cellRange(z, cellSize, nz)
+				for cz := cz0; cz <= cz1; cz++ {
+					for cy := cy0; cy <= cy1; cy++ {
+						for cx := cx0; cx <= cx1; cx++ {
+							i := cx + nx*(cy+ny*cz)
+							minv[i] = min(minv[i], val)
+							maxv[i] = max(maxv[i], val)
+						}
+					}
+				}
+			}
+		}
+	}
+	return minv, maxv
+}
+
+// cellRange returns the cells whose interpolation support includes
+// grid point p: its own cell plus the previous cell when p lies on a
+// cell boundary (trilinear interpolation reads one point beyond the
+// cell's high face).
+func cellRange(p, cellSize, n int) (lo, hi int) {
+	c := p / cellSize
+	lo, hi = c, c
+	if p%cellSize == 0 && c > 0 {
+		lo = c - 1
+	}
+	if hi > n-1 {
+		hi = n - 1
+	}
+	return lo, hi
+}
+
+// mixingBrick returns the left half of a mid-run mixing step, ghosted
+// as the pipeline extracts it: 82x64x64 grid points.
+func mixingBrick(tb testing.TB) *vol.Brick {
+	tb.Helper()
+	g, err := datagen.ByName("mixing", 0.25, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v, err := g.Step(g.Steps() / 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	boxes, err := vol.SplitKD(v.Dims, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := v.Extract(boxes[0], 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// The row-scan build must give exactly the per-cell ranges of the
+// per-point scatter build, on ghosted bricks whose dims are and are
+// not multiples of the cell size, and when a grid is rebuilt in place
+// for a different volume.
+func TestRowScanBuildMatchesScatter(t *testing.T) {
+	g, err := datagen.ByName("jet", 0.15, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ray along +x starting at x=1: first cell [0,8) exits at x=8,
-	// i.e. t=7.
-	exit := g.CellExit(1, 4, 4, 1, 0, 0, 0)
-	if math.Abs(exit-7) > 1e-9 {
-		t.Fatalf("exit = %v, want 7", exit)
+	v, err := g.Step(3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Diagonal ray: exit at the nearest face.
-	exit = g.CellExit(1, 1, 1, 1, 1, 1, 0)
-	if math.Abs(exit-7) > 1e-9 {
-		t.Fatalf("diagonal exit = %v, want 7", exit)
-	}
-	// Negative direction.
-	exit = g.CellExit(9, 4, 4, -1, 0, 0, 0)
-	if math.Abs(exit-1) > 1e-9 {
-		t.Fatalf("negative exit = %v, want 1", exit)
-	}
-	// Exit must be monotone: repeated stepping crosses all cells.
-	tcur := 0.0
-	for i := 0; i < 3; i++ {
-		next := g.CellExit(0.5, 4, 4, 1, 0, 0, tcur)
-		if next <= tcur {
-			t.Fatalf("exit not advancing at %v", tcur)
+	var bricks []*vol.Brick
+	for _, n := range []int{1, 3, 4} {
+		boxes, err := vol.SplitKD(v.Dims, n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		tcur = next + 1e-6
+		for _, b := range boxes {
+			br, err := v.Extract(b, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bricks = append(bricks, br)
+		}
+	}
+	bricks = append(bricks, mixingBrick(t))
+	reused := new(Grid)
+	for _, br := range bricks {
+		for _, cs := range []int{1, 3, 8, 16} {
+			wantMin, wantMax := scatterBuild(br.Data, br.Normalize, cs)
+			got, err := Build(br.Data, br.Origin, br.Normalize, cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := reused.Rebuild(br.Data, br.Origin, br.Normalize, cs); err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range []*Grid{got, reused} {
+				if len(g.minv) != len(wantMin) {
+					t.Fatalf("dims %v cell %d: %d cells, want %d", br.Data.Dims, cs, len(g.minv), len(wantMin))
+				}
+				for i := range wantMin {
+					if g.minv[i] != wantMin[i] || g.maxv[i] != wantMax[i] {
+						t.Fatalf("dims %v cell %d: cell %d range [%v,%v], want [%v,%v]",
+							br.Data.Dims, cs, i, g.minv[i], g.maxv[i], wantMin[i], wantMax[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// Occupied bounds the cells with any opacity, in parent coordinates.
+func TestOccupiedBounds(t *testing.T) {
+	v := vol.MustNew(vol.Dims{NX: 32, NY: 24, NZ: 20})
+	v.Fill(func(x, y, z int) float32 {
+		if x == 12 && y == 9 && z == 17 {
+			return 1
+		}
+		return 0
+	})
+	g, err := Build(v, [3]int{100, 200, 300}, ident, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Opaque only above 0.5: the spike's cells. x=12 lies in cell 1
+	// only; y=9 in cell 1; z=17 in cell 2 (z=16 would be shared).
+	above := func(lo, hi float32) float32 {
+		if hi > 0.5 {
+			return 1
+		}
+		return 0
+	}
+	b, ok := g.Occupied(above)
+	want := vol.Box{X0: 108, X1: 116, Y0: 208, Y1: 216, Z0: 316, Z1: 324}
+	if !ok || b != want {
+		t.Fatalf("occupied %v ok=%v, want %v", b, ok, want)
+	}
+	if _, ok := g.Occupied(func(lo, hi float32) float32 { return 0 }); ok {
+		t.Fatal("transparent grid reported occupied cells")
+	}
+}
+
+func BenchmarkAccelBuild(b *testing.B) {
+	br := mixingBrick(b)
+	g := new(Grid)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Rebuild(br.Data, br.Origin, br.Normalize, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -467,27 +467,29 @@ func TestMergePiecesProperty(t *testing.T) {
 	}
 }
 
-// Server-level accel must not change the delivered frames (lossless
-// codec, identical pixels).
+// The served path renders with the renderer's always-on empty-space
+// skipping and no render option of its own: over a lossless codec the
+// delivered frame must be exactly the pipeline's own frame.
 func TestServerAccelIdentical(t *testing.T) {
-	run := func(accel bool) *img.Frame {
-		s, err := StartSession(testStore(1), SessionOptions{
-			Server: ServerOptions{
-				P: 2, L: 1, ImageW: 40, ImageH: 40,
-				Codec: "raw", TF: tf.Jet(), Accel: accel,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		fr := collectFrames(t, s, 1, 20*time.Second)[0]
-		if err := s.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		return fr.im
+	sopt := ServerOptions{P: 2, L: 1, ImageW: 40, ImageH: 40, Codec: "raw", TF: tf.Jet()}
+	s, err := StartSession(testStore(1), SessionOptions{Server: sopt})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !run(false).Equal(run(true)) {
-		t.Fatal("accelerated server frame differs")
+	defer s.Close()
+	got := collectFrames(t, s, 1, 20*time.Second)[0].im
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	var want *img.Frame
+	popt := pipeline.Options{P: sopt.P, L: sopt.L, ImageW: sopt.ImageW, ImageH: sopt.ImageH, TF: sopt.TF}
+	if _, err := pipeline.Run(testStore(1), popt, func(f *pipeline.Frame) error {
+		want = f.Image.ToFrame(sopt.Background)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("served frame differs from the pipeline's frame")
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/comm"
 	"repro/internal/composite"
 	"repro/internal/img"
@@ -113,11 +112,6 @@ type Options struct {
 	// step and scattering bricks — the paper's §7.1 parallel-I/O
 	// extension. Requires the store to implement volio.RegionStore.
 	RegionInput bool
-	// Accel builds a macrocell empty-space-skipping grid per brick
-	// before rendering (§7.1 "preprocessing ... can provide many
-	// hints to the renderer"). Output is unchanged; sparse data
-	// renders with fewer samples.
-	Accel bool
 	// Trace receives one span per stage (fetch, render, composite,
 	// deliver) per group and step, recorded at the group leader — the
 	// raw material of the paper's pipelining Gantt. Nil disables.
@@ -589,13 +583,6 @@ func renderStep(gc *comm.Comm, store volio.Store, opt *Options, dims vol.Dims, g
 	endRender := span("render")
 	t1 := time.Now()
 	ropt := opt.Render
-	if opt.Accel {
-		grid, err := accel.Build(work.brick.Data, work.brick.Origin, work.brick.Normalize, 0)
-		if err != nil {
-			return err
-		}
-		ropt.Accel = grid
-	}
 	var partial *img.RGBA
 	if useDFB {
 		// Stream tiles out mid-render: every finished scanline band is

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/composite"
 	"repro/internal/datagen"
 	"repro/internal/img"
 	"repro/internal/render"
@@ -373,14 +374,57 @@ func (p plainStore) Dims() vol.Dims                   { return p.s.Dims() }
 func (p plainStore) Steps() int                       { return p.s.Steps() }
 func (p plainStore) Fetch(t int) (*vol.Volume, error) { return p.s.Fetch(t) }
 
-// Accelerated pipelined rendering must match the unaccelerated result.
+// The pipeline renders with the renderer's always-on empty-space
+// skipping. Its frame must be exactly the front-over-back composite of
+// the per-brick renders (render's golden tests hold each brick render
+// to the plain full march), with both compositors, and the bricks must
+// actually skip samples.
 func TestAccelPipelineMatches(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	run := func(accel bool) *img.RGBA {
-		store := testStore(1)
-		opt := baseOptions(4, 1)
-		opt.Accel = accel
-		opt.Render.TerminationAlpha = 1
+	store := testStore(1)
+	v, err := store.Fetch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam, err := render.NewOrbitCamera(v.Dims, 0.6, 0.35, 1.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boxes, err := vol.SplitKD(v.Dims, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := composite.VisibilityOrder(boxes, cam.Eye)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ropt := render.DefaultOptions()
+	ropt.TerminationAlpha = 1
+	var want *img.RGBA
+	skipped := 0
+	for _, i := range order {
+		br, err := v.Extract(boxes[i], 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		im, st, err := render.RenderBrick(br, cam, tf.Jet(), ropt, 32, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		skipped += st.Skipped
+		if want == nil {
+			want = im
+		} else if err := want.Over(im); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no brick skipped any sample")
+	}
+	for _, c := range []Compositor{CompositorBinarySwap, CompositorDFB} {
+		opt := baseOptions(2, 1)
+		opt.Compositor = c
+		opt.Render = ropt
 		var out *img.RGBA
 		var mu sync.Mutex
 		if _, err := Run(store, opt, func(f *Frame) error {
@@ -391,13 +435,10 @@ func TestAccelPipelineMatches(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	a := run(false)
-	b := run(true)
-	for i := range a.Pix {
-		if a.Pix[i] != b.Pix[i] {
-			t.Fatalf("accelerated pipeline differs at %d", i)
+		for i := range want.Pix {
+			if out.Pix[i] != want.Pix[i] {
+				t.Fatalf("compositor %d: pipelined frame differs at %d: %v vs %v", c, i, out.Pix[i], want.Pix[i])
+			}
 		}
 	}
 }

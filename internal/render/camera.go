@@ -53,14 +53,15 @@ type Camera struct {
 	// FovY is the vertical field of view in radians.
 	FovY float64
 
-	// Basis derived by Finish.
+	// Basis and tan(FovY/2) derived by Finish.
 	fwd, right, upv Vec3
+	tanHalf         float64
 	ready           bool
 }
 
-// Finish derives the orthonormal view basis. New* constructors call it;
-// call it again after mutating Eye/Center/Up (e.g. on a view-change
-// user event).
+// Finish derives the orthonormal view basis and the field-of-view
+// tangent Ray uses. New* constructors call it; call it again after
+// mutating Eye, Center, Up or FovY (e.g. on a view-change user event).
 func (c *Camera) Finish() error {
 	c.fwd = c.Center.Sub(c.Eye).Normalized()
 	if c.fwd.Norm() == 0 {
@@ -74,6 +75,7 @@ func (c *Camera) Finish() error {
 		return fmt.Errorf("render: up parallel to view direction")
 	}
 	c.upv = c.right.Cross(c.fwd)
+	c.tanHalf = math.Tan(c.FovY / 2)
 	c.ready = true
 	return nil
 }
@@ -113,7 +115,7 @@ func (c *Camera) Ray(px, py, w, h int) (orig, dir Vec3) {
 		panic("render: camera used before Finish")
 	}
 	aspect := float64(w) / float64(h)
-	tanF := math.Tan(c.FovY / 2)
+	tanF := c.tanHalf
 	// NDC in [-1,1], y flipped so py=0 is the top scanline.
 	nx := (2*(float64(px)+0.5)/float64(w) - 1) * tanF * aspect
 	ny := (1 - 2*(float64(py)+0.5)/float64(h)) * tanF

@@ -6,23 +6,30 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/img"
 	"repro/internal/tf"
 )
 
-// The tentpole invariant of the multicore engine: the parallel tile
-// renderer must be byte-identical to the serial path for every
-// supported option combination — Over/MIP, shading on/off, with and
-// without empty-space acceleration, with and without a differential
-// pixel mask.
+// opaqueEverywhere is a transfer function with no transparent value,
+// so empty-space skipping can clip nothing.
+func opaqueEverywhere() *tf.TF {
+	return tf.MustNew([]tf.Point{
+		{V: 0, R: 0.1, G: 0.2, B: 0.9, A: 0.01},
+		{V: 0.5, R: 0.2, G: 0.9, B: 0.3, A: 0.05},
+		{V: 1, R: 1, G: 0.3, B: 0.1, A: 0.3},
+	})
+}
+
+// The tentpole invariant of the multicore engine: the tile renderer
+// must be byte-identical to the plain serial marcher at every worker
+// count, for every supported option combination — Over/MIP, shading
+// on/off, with and without a differential pixel mask, and with a
+// transfer function that leaves empty space for skipping to clip
+// (accel=true) or none (accel=false). Stats must agree across worker
+// counts, and Samples+Skipped must equal the full march's samples.
 func TestParallelGoldenIdentical(t *testing.T) {
 	v := testVolume(t)
 	cam, err := NewOrbitCamera(v.Dims, 0.6, 0.35, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := accel.Build(v, [3]int{0, 0, 0}, v.Normalize, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,31 +41,31 @@ func TestParallelGoldenIdentical(t *testing.T) {
 	}
 	for _, mode := range []Mode{ModeOver, ModeMIP} {
 		for _, shading := range []bool{false, true} {
-			for _, useAccel := range []bool{false, true} {
+			for _, sparse := range []bool{false, true} {
 				for _, useMask := range []bool{false, true} {
-					name := fmt.Sprintf("mode=%d/shading=%v/accel=%v/mask=%v", mode, shading, useAccel, useMask)
+					name := fmt.Sprintf("mode=%d/shading=%v/accel=%v/mask=%v", mode, shading, sparse, useMask)
 					t.Run(name, func(t *testing.T) {
+						tfn := opaqueEverywhere()
+						if sparse {
+							tfn = tf.Jet()
+						}
 						opt := DefaultOptions()
 						opt.Mode = mode
 						opt.Shading = shading
-						if useAccel {
-							opt.Accel = grid
-						}
 						if useMask {
 							opt.PixelMask = mask
 						}
-						serial := opt
-						serial.Workers = 1
 						ref := img.NewRGBA(W, H)
-						refSt, err := RenderRegion(WholeVolume(v), v.Bounds(), cam, tf.Jet(), serial, ref)
+						plainSt, err := plainRender(WholeVolume(v), v.Bounds(), cam, tfn, opt, ref)
 						if err != nil {
 							t.Fatal(err)
 						}
-						for _, workers := range []int{2, 3, 4, 7} {
+						var serialSt Stats
+						for _, workers := range []int{1, 2, 3, 4, 7} {
 							par := opt
 							par.Workers = workers
 							got := img.NewRGBA(W, H)
-							gotSt, err := RenderRegion(WholeVolume(v), v.Bounds(), cam, tf.Jet(), par, got)
+							gotSt, err := RenderRegion(WholeVolume(v), v.Bounds(), cam, tfn, par, got)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -67,14 +74,31 @@ func TestParallelGoldenIdentical(t *testing.T) {
 									t.Fatalf("workers=%d: pixel float %d differs: %v vs %v", workers, i, got.Pix[i], ref.Pix[i])
 								}
 							}
-							if gotSt != refSt {
-								t.Fatalf("workers=%d: stats %+v != serial %+v", workers, gotSt, refSt)
+							if workers == 1 {
+								serialSt = gotSt
+							} else if gotSt != serialSt {
+								t.Fatalf("workers=%d: stats %+v != serial %+v", workers, gotSt, serialSt)
+							}
+							checkSkipStats(t, gotSt, plainSt)
+							wantSkip := sparse && mode == ModeOver
+							if (gotSt.Skipped > 0) != wantSkip {
+								t.Fatalf("workers=%d: skipped %d samples, want skipping=%v", workers, gotSt.Skipped, wantSkip)
 							}
 						}
 					})
 				}
 			}
 		}
+	}
+}
+
+// checkSkipStats holds a renderer's Stats to the plain marcher's: the
+// same rays and visible pixels, and Samples+Skipped equal to the full
+// march's samples.
+func checkSkipStats(t *testing.T, got, plain Stats) {
+	t.Helper()
+	if got.Rays != plain.Rays || got.Pixels != plain.Pixels || got.Samples+got.Skipped != plain.Samples {
+		t.Fatalf("stats %+v do not account for the plain march %+v", got, plain)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 
 	"repro/internal/accel"
 	"repro/internal/img"
@@ -51,12 +52,6 @@ type Options struct {
 	TerminationAlpha float32
 	// Mode selects Over (default) or MIP compositing.
 	Mode Mode
-	// Accel, when set, skips macrocells the transfer function maps to
-	// zero opacity (empty-space leaping; ModeOver only). The grid
-	// must cover the rendered region in parent coordinates and use
-	// the same normalization. Skipping is conservative: accelerated
-	// output is identical.
-	Accel *accel.Grid
 	// PixelMask, when set (length W*H), restricts rendering to the
 	// true pixels; the others are left untouched in dst. Used by
 	// differential (temporal-reuse) rendering.
@@ -105,36 +100,74 @@ type Stats struct {
 	Rays    int // rays intersecting the brick
 	Samples int // volume samples taken
 	Pixels  int // pixels with nonzero contribution
-	Skipped int // samples avoided by empty-space leaping
+	// Skipped counts the lattice samples empty-space skipping avoided:
+	// Samples+Skipped is what a full march of every ray would take.
+	Skipped int
 }
 
-// Sampler is the volume access a ray caster needs; both *vol.Brick
-// and a whole-volume adapter satisfy it. Coordinates are in parent
-// (full-volume) grid space.
-type Sampler interface {
-	Sample(x, y, z float64) float32
-	Gradient(x, y, z float64) (gx, gy, gz float32)
-	Normalize(v float32) float32
+// WholeVolume returns a zero-origin brick view of v for single-node
+// rendering: its region is the whole volume, it shares v's data (no
+// copy) and it normalizes with v's current value range, so sampling it
+// is arithmetically identical to sampling v. Take a new view after
+// v.UpdateRange.
+func WholeVolume(v *vol.Volume) *vol.Brick {
+	return &vol.Brick{Region: v.Bounds(), Data: v, ParentDims: v.Dims, ParentMin: v.Min, ParentMax: v.Max}
 }
 
-// volumeSampler adapts a full volume to the Sampler interface.
-type volumeSampler struct{ v *vol.Volume }
+// gridPool recycles the macrocell grids RenderRegion builds per call,
+// so empty-space skipping adds no steady-state allocation.
+var gridPool = sync.Pool{New: func() any { return new(accel.Grid) }}
 
-func (s volumeSampler) Sample(x, y, z float64) float32 { return s.v.Sample(x, y, z) }
-func (s volumeSampler) Gradient(x, y, z float64) (float32, float32, float32) {
-	return s.v.Gradient(x, y, z)
+// occupiedBounds returns the parent-grid box outside which every
+// sample of b is transparent under t, padded by one voxel so that no
+// rounding in ray setup can clip a visible sample; ok=false when the
+// whole brick is transparent.
+func occupiedBounds(b *vol.Brick, t *tf.TF) (vol.Box, bool, error) {
+	g := gridPool.Get().(*accel.Grid)
+	defer gridPool.Put(g)
+	if err := g.Rebuild(b.Data, b.Origin, b.Normalize, 0); err != nil {
+		return vol.Box{}, false, err
+	}
+	occ, ok := g.Occupied(t.MaxAlpha)
+	occ.X0, occ.Y0, occ.Z0 = occ.X0-1, occ.Y0-1, occ.Z0-1
+	occ.X1, occ.Y1, occ.Z1 = occ.X1+1, occ.Y1+1, occ.Z1+1
+	// Positions past the stored data sample its clamped border, so a
+	// visible cell on a border face leaves everything beyond that face
+	// visible too (a region reaching outside the data stays exact).
+	o, d := b.Origin, b.Data.Dims
+	if occ.X0 < o[0] {
+		occ.X0 = math.MinInt32
+	}
+	if occ.Y0 < o[1] {
+		occ.Y0 = math.MinInt32
+	}
+	if occ.Z0 < o[2] {
+		occ.Z0 = math.MinInt32
+	}
+	if occ.X1 > o[0]+d.NX {
+		occ.X1 = math.MaxInt32
+	}
+	if occ.Y1 > o[1]+d.NY {
+		occ.Y1 = math.MaxInt32
+	}
+	if occ.Z1 > o[2]+d.NZ {
+		occ.Z1 = math.MaxInt32
+	}
+	return occ, ok, nil
 }
-func (s volumeSampler) Normalize(v float32) float32 { return s.v.Normalize(v) }
-
-// WholeVolume wraps a volume as a Sampler for single-node rendering.
-func WholeVolume(v *vol.Volume) Sampler { return volumeSampler{v} }
 
 // RenderRegion ray-casts the part of the volume inside region into
 // dst, a full-size premultiplied RGBA image. Pixels whose rays miss
 // the region are left untouched (transparent), which is what the
 // compositor expects of a partial image. dst must be cleared by the
 // caller if reused.
-func RenderRegion(s Sampler, region vol.Box, cam *Camera, t *tf.TF, opt Options, dst *img.RGBA) (Stats, error) {
+//
+// In ModeOver every ray is clipped to the bounds of the brick's
+// macrocells the transfer function leaves visible (empty-space
+// skipping, see internal/accel). Samples stay on the global k·Step
+// lattice and the clipped-off ones are provably transparent, so the
+// image is identical to marching the whole region.
+func RenderRegion(b *vol.Brick, region vol.Box, cam *Camera, t *tf.TF, opt Options, dst *img.RGBA) (Stats, error) {
 	if err := opt.normalize(); err != nil {
 		return Stats{}, err
 	}
@@ -149,23 +182,21 @@ func RenderRegion(s Sampler, region vol.Box, cam *Camera, t *tf.TF, opt Options,
 	if opt.PixelMask != nil && len(opt.PixelMask) != dst.W*dst.H {
 		return Stats{}, fmt.Errorf("render: pixel mask of %d entries for %dx%d image", len(opt.PixelMask), dst.W, dst.H)
 	}
-	// Resolve the accelerator's per-cell transparency once for this
-	// (grid, transfer function) pair; the per-sample check is then a
-	// single indexed load.
-	var emptyCell []bool
-	if opt.Accel != nil {
-		emptyCell = opt.Accel.EmptyMask(t.MaxAlpha)
-	}
 	rr := &rowRenderer{
-		s:         s,
+		b:         *b,
 		region:    region,
 		cam:       cam,
 		opt:       &opt,
 		lut:       t.LUT(),
-		emptyCell: emptyCell,
 		light:     opt.Light.Normalized(),
 		headlight: opt.Light == (Vec3{}),
 		dst:       dst,
+	}
+	if opt.Mode == ModeOver {
+		var err error
+		if rr.occ, rr.occupied, err = occupiedBounds(b, t); err != nil {
+			return Stats{}, err
+		}
 	}
 	if opt.Workers > 1 && dst.H > 1 {
 		return renderTiled(rr, opt.Workers), nil
@@ -196,16 +227,21 @@ func RenderRegion(s Sampler, region vol.Box, cam *Camera, t *tf.TF, opt Options,
 // queue. All fields are read-only during rendering; dst is shared but
 // each pixel is written by exactly one renderRows call.
 type rowRenderer struct {
-	s         Sampler
-	region    vol.Box
-	cam       *Camera
-	opt       *Options
+	// b is a copy of the caller's brick header (the data is shared),
+	// so a whole-volume view built per call stays off the heap.
+	b      vol.Brick
+	region vol.Box
+	// occ bounds the positions whose samples can be visible (ModeOver;
+	// see occupiedBounds); occupied=false means none can.
+	occ      vol.Box
+	occupied bool
+	cam      *Camera
+	opt      *Options
 	// lut is the transfer function's baked classification table,
 	// indexed directly so the inner sampling loop is a flat load
 	// instead of a method call (see tf.LUT — identical arithmetic to
 	// tf.Classify, so results are bit-identical).
 	lut       []float32
-	emptyCell []bool
 	light     Vec3
 	headlight bool
 	dst       *img.RGBA
@@ -230,10 +266,9 @@ func (rr *rowRenderer) classify(v float32) (r, g, b, a float32) {
 // range, the parallel renderer once per tile.
 func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 	var st Stats
-	s, opt, dst, cam := rr.s, rr.opt, rr.dst, rr.cam
+	b, opt, dst, cam := &rr.b, rr.opt, rr.dst, rr.cam
 	w, h := dst.W, dst.H
-	termA := opt.TerminationAlpha
-	emptyCell := rr.emptyCell
+	step, termA := opt.Step, opt.TerminationAlpha
 	for py := y0; py < y1; py++ {
 		for px := 0; px < w; px++ {
 			if opt.PixelMask != nil && !opt.PixelMask[py*w+px] {
@@ -249,11 +284,6 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 				rr.mipRay(orig, dir, tn, tfar, &st, py*w+px)
 				continue
 			}
-			var r, g, b, a float32
-			ld := rr.light
-			if rr.headlight {
-				ld = dir.Scale(-1)
-			}
 			// Jitter-free fixed stepping keeps partial images from
 			// different bricks consistent along the same ray: sample
 			// positions are aligned to global multiples of Step so a
@@ -261,35 +291,45 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 			// sample sequence.
 			// Samples at exactly tfar belong to the next brick along
 			// the ray (strict <), so bricks sharing a face never
-			// double-count a sample.
-			k0 := math.Ceil(tn / opt.Step)
-			for k := k0; ; k++ {
-				tcur := k * opt.Step
-				if tcur >= tfar {
+			// double-count a sample. A full march takes the lattice
+			// indices [k0, kend).
+			k0 := math.Ceil(tn / step)
+			kend := latticeEnd(k0, tfar, step)
+			// Clip [tn, tfar) to the visible cells' bounds. Every
+			// lattice sample outside them is transparent, adds nothing
+			// and cannot trigger termination, so starting later and
+			// stopping earlier leaves the pixel bit-identical.
+			ta, tb := tn, tn
+			if rr.occupied {
+				if on, off, hit := IntersectBox(orig, dir, rr.occ); hit {
+					ta, tb = max(tn, on), min(tfar, off)
+				}
+			}
+			if tb <= ta {
+				st.Skipped += int(kend - k0)
+				continue
+			}
+			kstart := max(k0, math.Ceil(ta/step))
+			var r, g, bl, a float32
+			ld := rr.light
+			if rr.headlight {
+				ld = dir.Scale(-1)
+			}
+			taken, terminated := 0, false
+			for k := kstart; ; k++ {
+				tcur := k * step
+				if tcur >= tb {
 					break
 				}
 				p := orig.Add(dir.Scale(tcur))
-				if emptyCell != nil {
-					if ci, ok := opt.Accel.CellAt(p.X, p.Y, p.Z); ok && emptyCell[ci] {
-						// Transparent macrocell: leap to its exit.
-						exit := opt.Accel.CellExit(orig.X, orig.Y, orig.Z, dir.X, dir.Y, dir.Z, tcur)
-						next := k + 1
-						if k2 := math.Ceil(exit/opt.Step + 1e-9); k2 > next {
-							next = k2
-						}
-						st.Skipped += int(next - k)
-						k = next - 1 // loop increment lands on the first sample past the cell
-						continue
-					}
-				}
-				raw := s.Sample(p.X, p.Y, p.Z)
-				st.Samples++
-				cr, cg, cb, ca := rr.classify(s.Normalize(raw))
+				raw := b.Sample(p.X, p.Y, p.Z)
+				taken++
+				cr, cg, cb, ca := rr.classify(b.Normalize(raw))
 				if ca <= 0 {
 					continue
 				}
 				if opt.Shading {
-					gx, gy, gz := s.Gradient(p.X, p.Y, p.Z)
+					gx, gy, gz := b.Gradient(p.X, p.Y, p.Z)
 					gn := math.Sqrt(float64(gx*gx + gy*gy + gz*gz))
 					shade := float32(0.35)
 					if gn > 1e-6 {
@@ -310,17 +350,25 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 				tr := (1 - a) * ca
 				r += tr * cr
 				g += tr * cg
-				b += tr * cb
+				bl += tr * cb
 				a += tr
 				if a >= termA {
+					terminated = true
 					break
 				}
+			}
+			st.Samples += taken
+			if terminated {
+				// A full march stops at the same sample.
+				st.Skipped += int(kstart - k0)
+			} else {
+				st.Skipped += int(kend-k0) - taken
 			}
 			if a > 0 {
 				i := (py*w + px) * 4
 				dst.Pix[i] += r
 				dst.Pix[i+1] += g
-				dst.Pix[i+2] += b
+				dst.Pix[i+2] += bl
 				dst.Pix[i+3] += a
 				st.Pixels++
 			}
@@ -329,10 +377,23 @@ func (rr *rowRenderer) renderRows(y0, y1 int) Stats {
 	return st
 }
 
+// latticeEnd returns the first lattice index k >= from with
+// k*step >= t: where a march that starts at index from stops before t.
+func latticeEnd(from, t, step float64) float64 {
+	k := max(from, math.Ceil(t/step))
+	for k > from && (k-1)*step >= t {
+		k--
+	}
+	for k*step < t {
+		k++
+	}
+	return k
+}
+
 // mipRay marches one maximum-intensity-projection ray and writes the
 // classified maximum into pixel index pix of dst.
 func (rr *rowRenderer) mipRay(orig, dir Vec3, tn, tfar float64, st *Stats, pix int) {
-	s, step, dst := rr.s, rr.opt.Step, rr.dst
+	b, step, dst := &rr.b, rr.opt.Step, rr.dst
 	maxV := float32(-1)
 	k0 := math.Ceil(tn / step)
 	for k := k0; ; k++ {
@@ -341,7 +402,7 @@ func (rr *rowRenderer) mipRay(orig, dir Vec3, tn, tfar float64, st *Stats, pix i
 			break
 		}
 		p := orig.Add(dir.Scale(tcur))
-		v := s.Normalize(s.Sample(p.X, p.Y, p.Z))
+		v := b.Normalize(b.Sample(p.X, p.Y, p.Z))
 		st.Samples++
 		if v > maxV {
 			maxV = v

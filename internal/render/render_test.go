@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/accel"
 	"repro/internal/datagen"
 	"repro/internal/img"
 	"repro/internal/tf"
@@ -424,48 +423,45 @@ func TestMIPDiffersFromOver(t *testing.T) {
 	}
 }
 
-// Empty-space leaping is conservative: accelerated rendering must be
-// bit-identical and must skip a meaningful share of samples on sparse
-// data.
+// Empty-space skipping is conservative: rendering must be
+// bit-identical to the plain full march and must skip a meaningful
+// share of samples on sparse data, accounting for every one of them.
 func TestAccelIdenticalAndFaster(t *testing.T) {
 	v := testVolume(t)
 	cam, err := NewOrbitCamera(v.Dims, 0.6, 0.35, 1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := accel.Build(v, [3]int{0, 0, 0}, v.Normalize, 8)
+	opt := DefaultOptions()
+	ref := img.NewRGBA(64, 64)
+	refStats, err := plainRender(WholeVolume(v), v.Bounds(), cam, tf.Jet(), opt, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := DefaultOptions()
-	fast := plain
-	fast.Accel = grid
-	ref, refStats, err := Render(v, cam, tf.Jet(), plain, 64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotStats, err := Render(v, cam, tf.Jet(), fast, 64, 64)
+	got, gotStats, err := Render(v, cam, tf.Jet(), opt, 64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref.Pix {
 		if ref.Pix[i] != got.Pix[i] {
-			t.Fatalf("accelerated image differs at %d: %v vs %v", i, got.Pix[i], ref.Pix[i])
+			t.Fatalf("skipping image differs at %d: %v vs %v", i, got.Pix[i], ref.Pix[i])
 		}
 	}
 	if gotStats.Skipped == 0 {
 		t.Fatal("nothing skipped on a sparse volume")
 	}
 	if gotStats.Samples >= refStats.Samples {
-		t.Fatalf("accel did not reduce samples: %d vs %d", gotStats.Samples, refStats.Samples)
+		t.Fatalf("skipping did not reduce samples: %d vs %d", gotStats.Samples, refStats.Samples)
 	}
+	checkSkipStats(t, gotStats, refStats)
 	// On the sparse jet the majority of background samples vanish.
 	if gotStats.Samples*2 > refStats.Samples {
-		t.Logf("note: accel saved only %d of %d samples", refStats.Samples-gotStats.Samples, refStats.Samples)
+		t.Logf("note: skipping saved only %d of %d samples", refStats.Samples-gotStats.Samples, refStats.Samples)
 	}
 }
 
-// Bricks with accel grids must still compose to the whole-volume image.
+// Bricks rendered with skipping must match the plain march brick by
+// brick and still compose to the whole-volume image.
 func TestAccelWithBricks(t *testing.T) {
 	v := testVolume(t)
 	cam, err := NewOrbitCamera(v.Dims, 0.7, 0.3, 1.6)
@@ -490,19 +486,30 @@ func TestAccelWithBricks(t *testing.T) {
 		d  float64
 	}
 	var parts []part
+	skipped := 0
 	for _, b := range boxes {
 		br := mustBrick(t, v, b)
-		grid, err := accel.Build(br.Data, br.Origin, br.Normalize, 8)
+		im := img.NewRGBA(W, H)
+		st, err := RenderRegion(br, br.Region, cam, tf.Jet(), opt, im)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := opt
-		o.Accel = grid
-		im := img.NewRGBA(W, H)
-		if _, err := RenderRegion(br, br.Region, cam, tf.Jet(), o, im); err != nil {
+		ref := img.NewRGBA(W, H)
+		plainSt, err := plainRender(br, br.Region, cam, tf.Jet(), opt, ref)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := range ref.Pix {
+			if ref.Pix[i] != im.Pix[i] {
+				t.Fatalf("brick %v: pixel float %d differs from the plain march", b, i)
+			}
+		}
+		checkSkipStats(t, st, plainSt)
+		skipped += st.Skipped
 		parts = append(parts, part{im, distToBox(cam.Eye, b)})
+	}
+	if skipped == 0 {
+		t.Fatal("no brick skipped any sample")
 	}
 	for i := 0; i < len(parts); i++ {
 		for j := i + 1; j < len(parts); j++ {
@@ -524,27 +531,6 @@ func TestAccelWithBricks(t *testing.T) {
 		}
 	}
 	if maxDiff > 5e-3 {
-		t.Fatalf("accelerated brick composition differs by %v", maxDiff)
-	}
-}
-
-func BenchmarkRenderAccel(b *testing.B) {
-	g := datagen.NewJetScaled(0.25, 2)
-	v, err := g.Step(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cam, _ := NewOrbitCamera(v.Dims, 0.5, 0.3, 1.5)
-	grid, err := accel.Build(v, [3]int{0, 0, 0}, v.Normalize, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.Accel = grid
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Render(v, cam, tf.Jet(), opt, 64, 64); err != nil {
-			b.Fatal(err)
-		}
+		t.Fatalf("brick composition differs by %v", maxDiff)
 	}
 }

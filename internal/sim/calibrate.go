@@ -18,8 +18,15 @@ import (
 // shape from real code rather than hand-picked constants.
 type Calibration struct {
 	// SecPerSample is the measured ray-casting cost per volume sample
-	// on the calibration host.
+	// on the calibration host, per lattice sample along the rays'
+	// geometric extent: the renderer's empty-space skipping lowers the
+	// cost of a sample, not the count the model multiplies it by.
 	SecPerSample float64
+	// Samples is the count SecPerSample divides the render time by:
+	// the calibration render's Samples+Skipped, i.e. every lattice
+	// sample a full march takes — the quantity EstimateT1's geometric
+	// probe counts.
+	Samples int
 	// SecPerRay is the per-ray setup cost.
 	SecPerRay float64
 	// EncodeSecPerByte / DecodeSecPerByte / Ratio are measured for
@@ -100,14 +107,14 @@ func Calibrate(opt CalibrationOptions) (*Calibration, error) {
 			renderTime = el
 		}
 	}
-	if st.Samples == 0 || st.Rays == 0 {
+	c := &Calibration{Samples: st.Samples + st.Skipped}
+	if c.Samples == 0 || st.Rays == 0 {
 		return nil, fmt.Errorf("sim: calibration render did no work")
 	}
-	c := &Calibration{}
 	// Attribute 85% of the time to sampling and the rest to per-ray
 	// setup — a crude split that keeps both terms positive and lets
 	// sample-dominated projections extrapolate across image sizes.
-	c.SecPerSample = renderTime * 0.85 / float64(st.Samples)
+	c.SecPerSample = renderTime * 0.85 / float64(c.Samples)
 	c.SecPerRay = renderTime * 0.15 / float64(st.Rays)
 
 	frame := im.ToFrame(0)
